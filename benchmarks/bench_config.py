@@ -1,6 +1,6 @@
 """Shared scale knobs of the benchmark harness.
 
-Setting ``REPRO_BENCH_QUICK=1`` switches the backend-comparison and service
+Setting ``REPRO_BENCH_QUICK=1`` switches the batched-sampling and service
 benchmarks to the *smallest* graph of the Fig. 12 scalability sweep and a
 reduced walk count — the CI smoke job uses this so hot-path perf regressions
 fail loudly without a long benchmark run.
@@ -20,5 +20,5 @@ SWEEP_GRAPH_SIZE = (600, 1500) if QUICK else (600, 6000)
 #: (num_vertices, num_edges) of the *largest* sweep graph (service benchmarks).
 LARGEST_SWEEP_GRAPH_SIZE = (600, 1500) if QUICK else (600, 7500)
 
-#: The paper's N for the backend and service benchmarks.
+#: The paper's N for the batched-sampling and service benchmarks.
 BENCH_NUM_WALKS = 200 if QUICK else 1000

@@ -7,7 +7,7 @@ scale (the scale parameters live in the individual files).  Run with::
 
 Add ``-s`` to also see the regenerated tables printed to stdout.
 
-Setting ``REPRO_BENCH_QUICK=1`` switches the backend-comparison and service
+Setting ``REPRO_BENCH_QUICK=1`` switches the batched-sampling and service
 benchmarks to the *smallest* sweep graph and a reduced walk count — the CI
 smoke job uses this so hot-path perf regressions fail loudly without a long
 benchmark run.

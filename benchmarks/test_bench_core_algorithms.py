@@ -2,7 +2,9 @@
 
 These are the per-query building blocks of Fig. 9: the wall-clock time of a
 single similarity query with Baseline, Sampling, SR-TS and SR-SP on the
-Net-like analogue dataset.
+Net-like analogue dataset, through the engine's executors (the code that
+serves).  The engine is shared across rounds, so offline artifacts (α
+values, SR-SP filter vectors) stay warm as in the paper.
 """
 
 from __future__ import annotations
@@ -12,17 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.baseline import baseline_simrank
 from repro.core.batch_walks import (
     KEYED_CHUNK_MIN_ROWS,
     keyed_chunk_rows,
     sample_walk_matrix_keyed,
 )
 from repro.core.engine import SimRankEngine
-from repro.core.sampling import sampling_simrank
 from repro.core.speedup import FilterVectors
-from repro.core.two_phase import two_phase_simrank
-from repro.core.walks import AlphaCache
 from repro.datasets.registry import load_dataset
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_vertex_pairs, related_vertex_pairs, rmat_uncertain
@@ -31,10 +29,6 @@ from bench_config import BENCH_NUM_WALKS, QUICK, SWEEP_GRAPH_SIZE
 
 ITERATIONS = 4
 NUM_WALKS = 300
-
-#: The paper's N, used by the backend-comparison benchmarks (reduced when
-#: REPRO_BENCH_QUICK=1, see benchmarks/conftest.py).
-BACKEND_NUM_WALKS = BENCH_NUM_WALKS
 
 
 @pytest.fixture(scope="module")
@@ -48,66 +42,43 @@ def query_pair(net_graph):
 
 
 @pytest.fixture(scope="module")
-def shared_cache(net_graph):
-    return AlphaCache(net_graph)
+def net_engine(net_graph):
+    engine = SimRankEngine(net_graph, iterations=ITERATIONS, num_walks=NUM_WALKS, seed=7)
+    engine.caches.filter_pair(NUM_WALKS)  # the offline SR-SP build, untimed
+    return engine
 
 
-@pytest.fixture(scope="module")
-def shared_filters(net_graph):
-    return FilterVectors(net_graph, NUM_WALKS, rng=5)
+def _cold_query(engine: SimRankEngine, u, v, method: str, **overrides):
+    # Each round pays for its own exact stage, like a fresh single-pair query.
+    engine.caches.transitions.clear()
+    return engine.similarity(u, v, method=method, **overrides)
 
 
 @pytest.mark.paper_artifact("fig9-baseline")
-def test_bench_baseline_single_query(benchmark, net_graph, query_pair, shared_cache):
+def test_bench_baseline_single_query(benchmark, net_engine, query_pair):
     u, v = query_pair
-    result = benchmark(
-        baseline_simrank, net_graph, u, v, iterations=ITERATIONS, alpha_cache=shared_cache
-    )
+    result = benchmark(_cold_query, net_engine, u, v, "baseline")
     assert 0.0 <= result.score <= 1.0
 
 
 @pytest.mark.paper_artifact("fig9-sampling")
-def test_bench_sampling_single_query(benchmark, net_graph, query_pair):
+def test_bench_sampling_single_query(benchmark, net_engine, query_pair):
     u, v = query_pair
-    result = benchmark(
-        sampling_simrank, net_graph, u, v, iterations=ITERATIONS, num_walks=NUM_WALKS, rng=7
-    )
+    result = benchmark(_cold_query, net_engine, u, v, "sampling")
     assert 0.0 <= result.score <= 1.0
 
 
 @pytest.mark.paper_artifact("fig9-sr-ts")
-def test_bench_two_phase_single_query(benchmark, net_graph, query_pair, shared_cache):
+def test_bench_two_phase_single_query(benchmark, net_engine, query_pair):
     u, v = query_pair
-    result = benchmark(
-        two_phase_simrank,
-        net_graph,
-        u,
-        v,
-        iterations=ITERATIONS,
-        exact_prefix=1,
-        num_walks=NUM_WALKS,
-        rng=7,
-        alpha_cache=shared_cache,
-    )
+    result = benchmark(_cold_query, net_engine, u, v, "two_phase", exact_prefix=1)
     assert 0.0 <= result.score <= 1.0
 
 
 @pytest.mark.paper_artifact("fig9-sr-sp")
-def test_bench_speedup_single_query(benchmark, net_graph, query_pair, shared_cache, shared_filters):
+def test_bench_speedup_single_query(benchmark, net_engine, query_pair):
     u, v = query_pair
-    result = benchmark(
-        two_phase_simrank,
-        net_graph,
-        u,
-        v,
-        iterations=ITERATIONS,
-        exact_prefix=1,
-        num_walks=NUM_WALKS,
-        rng=7,
-        use_speedup=True,
-        filters=shared_filters,
-        alpha_cache=shared_cache,
-    )
+    result = benchmark(_cold_query, net_engine, u, v, "speedup", exact_prefix=1)
     assert 0.0 <= result.score <= 1.0
 
 
@@ -118,74 +89,15 @@ def test_bench_filter_vector_construction(benchmark, net_graph):
     assert len(filters) > 0
 
 
-# -- backend comparison on the scalability-sweep generator graphs -------------
+# -- batched sampling on the scalability-sweep generator graphs ---------------
 
 
 @pytest.fixture(scope="module")
 def sweep_graph():
     """An R-MAT graph from the Fig. 12 scalability sweep (smallest in quick mode)."""
     graph = rmat_uncertain(*SWEEP_GRAPH_SIZE, rng=43)
-    CSRGraph.from_uncertain(graph)  # warm the snapshot cache for all backends
+    CSRGraph.from_uncertain(graph)  # warm the snapshot cache
     return graph
-
-
-@pytest.fixture(scope="module")
-def sweep_pair(sweep_graph):
-    return random_vertex_pairs(sweep_graph, 1, rng=5)[0]
-
-
-@pytest.mark.paper_artifact("backend-sampling-python")
-def test_bench_sampling_backend_python(benchmark, sweep_graph, sweep_pair):
-    """The scalar reference sampler at the paper's N=1000."""
-    u, v = sweep_pair
-    result = benchmark(
-        sampling_simrank,
-        sweep_graph, u, v,
-        iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7, backend="python",
-    )
-    assert 0.0 <= result.score <= 1.0
-
-
-@pytest.mark.paper_artifact("backend-sampling-vectorized")
-def test_bench_sampling_backend_vectorized(benchmark, sweep_graph, sweep_pair):
-    """The batch walk engine at the paper's N=1000."""
-    u, v = sweep_pair
-    result = benchmark(
-        sampling_simrank,
-        sweep_graph, u, v,
-        iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7, backend="vectorized",
-    )
-    assert 0.0 <= result.score <= 1.0
-
-
-@pytest.mark.paper_artifact("backend-speedup-ratio")
-def test_bench_sampling_backend_speedup_ratio(benchmark, sweep_graph, sweep_pair):
-    """Measured python/vectorized ratio on the sampling hot path.
-
-    The vectorized batch walk engine should beat the scalar sampler by an
-    order of magnitude at N=1000; the exact ratio is machine-dependent, so the
-    assertion keeps head-room while the measured value lands in the benchmark
-    report (``extra_info``).
-    """
-    u, v = sweep_pair
-
-    def measure(backend: str, repeats: int) -> float:
-        start = time.perf_counter()
-        for _ in range(repeats):
-            sampling_simrank(
-                sweep_graph, u, v,
-                iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, rng=7, backend=backend,
-            )
-        return (time.perf_counter() - start) / repeats
-
-    def compare():
-        return measure("python", 2) / measure("vectorized", 10)
-
-    ratio = benchmark.pedantic(compare, rounds=1, iterations=1)
-    benchmark.extra_info["speedup_ratio"] = ratio
-    # The measured ratio is the report (typically 10-30x); the assertion is
-    # only a sanity floor so noisy or throttled machines don't fail the suite.
-    assert ratio > 1.0
 
 
 @pytest.mark.paper_artifact("keyed-chunk-heuristic")
@@ -233,12 +145,12 @@ def test_bench_keyed_chunk_heuristic_no_regression(benchmark):
     assert ratio >= 0.8
 
 
-@pytest.mark.paper_artifact("backend-batched-many")
+@pytest.mark.paper_artifact("sampling-batched-many")
 def test_bench_engine_similarity_many_batched(benchmark, sweep_graph):
     """Batched multi-pair sampling: walk bundles shared across pairs."""
     pairs = random_vertex_pairs(sweep_graph, 12, rng=9)
     engine = SimRankEngine(
-        sweep_graph, iterations=ITERATIONS, num_walks=BACKEND_NUM_WALKS, seed=13
+        sweep_graph, iterations=ITERATIONS, num_walks=BENCH_NUM_WALKS, seed=13
     )
     results = benchmark.pedantic(
         engine.similarity_many, args=(pairs,), kwargs={"method": "sampling"},

@@ -62,7 +62,7 @@ def test_bench_numpy_kernel_speedup(benchmark, sweep_csr, keyed_request):
     Fig. 12 sweep graph (best-of-5 per length, summed so neither length
     dominates).  Expected ~2.0 at the quick scale and 2-3x at full scale on
     an unloaded machine; the assertion floor keeps ~30% noise head-room, the
-    same policy as the chunk-heuristic and backend-ratio pins.
+    same policy as the chunk-heuristic pin.
     """
     sources, keys = keyed_request
 

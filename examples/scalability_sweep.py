@@ -28,17 +28,6 @@ def main() -> None:
     print("\nBoth series should grow roughly linearly with the edge count,")
     print("with SR-SP consistently below SR-TS thanks to the shared sampling.")
 
-    reference = run_scalability_experiment(
-        num_vertices=600,
-        edge_counts=(6000,),
-        num_pairs=5,
-        backend="python",
-    )
-    print("\nScalar reference backend at |E|=6000 (same workload, python engine):")
-    print(format_scalability_results(reference))
-    print("\nThe vectorized batch walk engine above should be roughly an order")
-    print("of magnitude faster on the SR-TS sampling stage.")
-
 
 if __name__ == "__main__":
     main()

@@ -9,28 +9,24 @@ The package is organised around the paper's sections:
 * :mod:`repro.core.simrank` — the SimRank measure on uncertain graphs
   (Definition 1, Theorems 1–3, Section V).
 * :mod:`repro.core.baseline` — the exact Baseline algorithm (Section VI-A).
-* :mod:`repro.core.sampling` — the Sampling algorithm (Section VI-B).
-* :mod:`repro.core.batch_walks` — the vectorized batch walk engine backing
-  the ``"vectorized"`` backend of the sampling-based algorithms.
-* :mod:`repro.core.two_phase` — the two-phase algorithm SR-TS (Section VI-C).
+* :mod:`repro.core.sampling` — the Sampling algorithm (Section VI-B): sample
+  sizes and the scalar walk sampler kept as a test oracle.
+* :mod:`repro.core.batch_walks` — the keyed batch walk sampler of the
+  sampling-based algorithms.
 * :mod:`repro.core.speedup` — the bit-vector speed-up SR-SP (Section VI-D).
 * :mod:`repro.core.executors` — snapshot-scoped, batched method executors:
-  every algorithm behind one ``run_batch(pairs, overrides)`` contract.
+  every algorithm (including the two-phase SR-TS of Section VI-C) behind one
+  ``run_batch(pairs, overrides)`` contract — the only estimator path.
 * :mod:`repro.core.engine` — a single entry point routing to the executors.
 * :mod:`repro.core.topk` — top-k similarity queries built on the estimators.
 """
 
 from repro.core.baseline import baseline_simrank, baseline_simrank_all_pairs
 from repro.core.batch_walks import (
-    BACKENDS,
-    WalkBundleCache,
-    batch_meeting_probabilities,
     bundle_key,
     meeting_probabilities_against_many,
     meeting_probabilities_from_matrices,
-    sample_walk_matrix,
     sample_walk_matrix_keyed,
-    walk_matrix_from_graph,
 )
 from repro.core.engine import SimRankEngine, compute_simrank
 from repro.core.executors import (
@@ -46,7 +42,6 @@ from repro.core.sampling import (
     required_sample_size,
     sample_walk,
     sample_walks,
-    sampling_simrank,
 )
 from repro.core.simrank import (
     SimRankResult,
@@ -54,7 +49,7 @@ from repro.core.simrank import (
     simrank_from_meeting_probabilities,
     two_phase_error_bound,
 )
-from repro.core.speedup import FilterVectors, speedup_meeting_probabilities, speedup_simrank
+from repro.core.speedup import FilterVectors
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.core.transition import (
     exact_transition_matrices_by_enumeration,
@@ -62,21 +57,15 @@ from repro.core.transition import (
     single_source_transition_probabilities,
     transition_probability_matrices,
 )
-from repro.core.two_phase import two_phase_simrank
 from repro.core.walks import WalkStatistics, walk_probability
 
 __all__ = [
     "baseline_simrank",
     "baseline_simrank_all_pairs",
-    "BACKENDS",
-    "WalkBundleCache",
-    "batch_meeting_probabilities",
     "bundle_key",
     "meeting_probabilities_against_many",
     "meeting_probabilities_from_matrices",
-    "sample_walk_matrix",
     "sample_walk_matrix_keyed",
-    "walk_matrix_from_graph",
     "SimRankEngine",
     "compute_simrank",
     "METHODS",
@@ -89,21 +78,17 @@ __all__ = [
     "required_sample_size",
     "sample_walk",
     "sample_walks",
-    "sampling_simrank",
     "SimRankResult",
     "approximation_error_bound",
     "simrank_from_meeting_probabilities",
     "two_phase_error_bound",
     "FilterVectors",
-    "speedup_meeting_probabilities",
-    "speedup_simrank",
     "top_k_similar_pairs",
     "top_k_similar_to",
     "exact_transition_matrices_by_enumeration",
     "expected_one_step_matrix",
     "single_source_transition_probabilities",
     "transition_probability_matrices",
-    "two_phase_simrank",
     "WalkStatistics",
     "walk_probability",
 ]

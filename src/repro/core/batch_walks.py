@@ -1,45 +1,41 @@
-"""Vectorized batch walk engine for the Sampling algorithm (Section VI-B).
+"""Keyed batch walk sampling for the sampling-based algorithms (Section VI-B).
 
-The scalar reference implementation (:func:`repro.core.sampling.sample_walk`)
-draws one walk at a time over the dict-of-dict graph, paying a Python-level
-dict lookup and RNG call per step.  This module samples all ``N`` walks of a
-query endpoint *simultaneously* on a :class:`~repro.graph.csr.CSRGraph`
-snapshot, as an ``(N, length + 1)`` integer matrix of dense vertex indices
-(``-1`` marking the tail of truncated walks).
+The scalar oracle (:func:`repro.core.sampling.sample_walk`) draws one walk at
+a time over the dict-of-dict graph, paying a Python-level dict lookup and RNG
+call per step.  This module samples whole walk bundles *simultaneously* on a
+:class:`~repro.graph.csr.CSRGraph` snapshot, as an ``(N, length + 1)``
+integer matrix of dense vertex indices (``-1`` marking the tail of truncated
+walks).
 
-Semantics match the scalar sampler exactly: a walk samples *with its walk
+Semantics match the scalar sampler: a walk samples *with its walk
 probability* by lazily instantiating possible-world arcs — the first time a
 walk visits a vertex, each out-arc is materialised independently with its
 existence probability and the instantiation is remembered for the rest of
 that walk; every visit then chooses uniformly among the instantiated arcs.
 
 Per-(walk, arc) instantiation memory is implemented without storing any
-per-walk state: each walk carries a 64-bit *world key* drawn once from the
-caller's generator, and the existence draw of arc ``j`` in walk ``i`` is the
-counter-based uniform ``splitmix64(world_key_i ^ mix(j))``.  Recomputing the
-hash at every visit yields the same Bernoulli outcome, which is exactly the
-"remembered instantiation" of the lazy possible world, with O(1) memory and
-fully vectorized evaluation.  The uniform *choice* among instantiated arcs is
-drawn fresh from the numpy ``Generator`` at every step, as in the scalar code.
+per-walk state: each walk carries a 64-bit *world key*, and the existence
+draw of arc ``j`` in walk ``i`` is the counter-based uniform
+``splitmix64(world_key_i ^ mix(j))``.  Recomputing the hash at every visit
+yields the same Bernoulli outcome, which is exactly the "remembered
+instantiation" of the lazy possible world, with O(1) memory and fully
+vectorized evaluation.  The uniform *choice* among instantiated arcs comes
+from a second counter-based stream of ``(world_key, step)``, so every walk is
+a pure function of its world key — the keyed, shared-fingerprint scheme of
+Fogaras & Rácz (WWW 2005) that makes batching, sharding and caching
+answer-neutral.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from typing import Callable, Hashable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.errors import InvalidParameterError
-from repro.utils.rng import RandomState, ensure_rng
-
-Vertex = Hashable
-
-#: Estimator backends exposed across the sampling stack.
-BACKENDS = ("vectorized", "python")
 
 #: Default number of walks per shard of the keyed sampling scheme.  Part of
 #: the RNG scheme: two samplers agree bit-for-bit only if they use the same
@@ -174,15 +170,6 @@ def endpoint_world_keys(
     return keys
 
 
-def validate_backend(backend: str) -> str:
-    """Validate a ``backend=`` argument shared by the sampling stack."""
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
-
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer over a uint64 array (wrapping)."""
     z = x + _SPLITMIX_GAMMA
@@ -214,97 +201,6 @@ def _pick_uniforms(world_keys: np.ndarray, step: int) -> np.ndarray:
     return (_splitmix64(mixed) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def _sample_walks_core(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    length: int,
-    world_keys: np.ndarray,
-    pick_uniforms: Callable[[np.ndarray, int], np.ndarray],
-) -> np.ndarray:
-    """Shared step loop of the batch samplers.
-
-    ``pick_uniforms(active, step)`` supplies the uniform used to choose among
-    the instantiated arcs of each still-active walk: the stateful sampler
-    draws it fresh from a ``Generator``, the keyed sampler derives it from the
-    walk's world key and the step counter.
-    """
-    count = sources.shape[0]
-    walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
-    walks[:, 0] = sources
-    if count == 0 or length == 0:
-        return walks
-
-    active = np.arange(count)
-    current = sources.astype(np.int64, copy=True)
-    indptr, indices, probs = csr.indptr, csr.indices, csr.probs
-    for step in range(length):
-        if active.size == 0:
-            break
-        vertices = current[active]
-        starts = indptr[vertices]
-        degrees = indptr[vertices + 1] - starts
-        has_out = degrees > 0
-        active, starts, degrees = active[has_out], starts[has_out], degrees[has_out]
-        if active.size == 0:
-            break
-        # Flat ragged layout: one entry per candidate (walk, out-arc) pair, so
-        # the per-step work is the actual arc count, not walks × max-degree.
-        row_starts = np.concatenate(([0], degrees.cumsum()))
-        flat_row = np.repeat(np.arange(active.size), degrees)
-        arc_ids = starts[flat_row] + np.arange(row_starts[-1]) - row_starts[flat_row]
-        uniforms = _arc_uniforms(world_keys[active][flat_row], arc_ids)
-        exists = (uniforms < probs[arc_ids]).astype(np.int64)
-        instantiated = np.add.reduceat(exists, row_starts[:-1])
-        alive = instantiated > 0
-        # Uniform fresh choice among the instantiated arcs of each walk: pick
-        # the (picks + 1)-th instantiated arc by its within-row running count.
-        picks = (pick_uniforms(active, step) * instantiated).astype(np.int64)
-        cumulative = exists.cumsum()
-        row_base = cumulative[row_starts[:-1]] - exists[row_starts[:-1]]
-        within = cumulative - row_base[flat_row]
-        chosen = np.flatnonzero(exists & (within == picks[flat_row] + 1))
-        destinations = indices[arc_ids[chosen]]
-        active = active[alive]
-        walks[active, step + 1] = destinations
-        current[active] = destinations
-    return walks
-
-
-def sample_walk_matrix(
-    csr: CSRGraph,
-    source: int,
-    length: int,
-    count: int,
-    rng: RandomState = None,
-) -> np.ndarray:
-    """Sample ``count`` lazy-possible-world walks from dense vertex ``source``.
-
-    Returns a ``(count, length + 1)`` int64 matrix whose row ``i`` is walk
-    ``i``: column 0 is ``source``, column ``k`` the vertex after ``k`` steps,
-    and :data:`NO_VERTEX` once the walk has been truncated (it reached a
-    vertex none of whose out-arcs were instantiated in its possible world).
-    """
-    if not 0 <= source < csr.num_vertices:
-        raise InvalidParameterError(f"source index {source} out of range")
-    if length < 0:
-        raise InvalidParameterError(f"length must be >= 0, got {length}")
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
-    generator = ensure_rng(rng)
-    sources = np.full(count, source, dtype=np.int64)
-    if count == 0 or length == 0:
-        world_keys = np.empty(count, dtype=np.uint64)
-    else:
-        world_keys = generator.integers(0, 2**64, size=count, dtype=np.uint64)
-    return _sample_walks_core(
-        csr,
-        sources,
-        length,
-        world_keys,
-        lambda active, step: generator.random(active.size),
-    )
-
-
 def sample_walk_matrix_keyed(
     csr: CSRGraph,
     sources: np.ndarray,
@@ -315,9 +211,8 @@ def sample_walk_matrix_keyed(
 ) -> np.ndarray:
     """Sample one walk per ``(source, world key)`` pair, fully deterministically.
 
-    Unlike :func:`sample_walk_matrix`, which draws the arc choices from a
-    stateful generator, every entry of the returned matrix is a pure function
-    of ``(csr, sources[i], world_keys[i])``: the arc-existence draws come from
+    Every entry of the returned matrix is a pure function of ``(csr,
+    sources[i], world_keys[i])``: the arc-existence draws come from
     the counter-based hash of :func:`_arc_uniforms` and the per-step choice
     among instantiated arcs from :func:`_pick_uniforms`.  This is what makes
     sharded parallel sampling bit-identical to a single-process pass — the
@@ -352,29 +247,8 @@ def sample_walk_matrix_keyed(
         0 <= int(sources.min()) and int(sources.max()) < csr.num_vertices
     ):
         raise InvalidParameterError("source indices out of range")
-    backend = _kernels.resolve_kernel(kernel)
-    return backend.sample(csr, sources, length, world_keys, chunk_rows)
-
-
-def walk_matrix_from_graph(
-    graph: UncertainGraph,
-    source: Vertex,
-    length: int,
-    count: int,
-    rng: RandomState = None,
-) -> np.ndarray:
-    """Label-level convenience wrapper around :func:`sample_walk_matrix`."""
-    csr = CSRGraph.from_uncertain(graph)
-    return sample_walk_matrix(csr, csr.index_of(source), length, count, rng)
-
-
-def walk_matrix_to_walks(csr: CSRGraph, walks: np.ndarray) -> List[List[Vertex]]:
-    """Convert a walk matrix back to label-level walk lists (for debugging)."""
-    result: List[List[Vertex]] = []
-    for row in walks:
-        walk = [csr.vertex_at(int(v)) for v in row[row >= NO_VERTEX + 1]]
-        result.append(walk)
-    return result
+    implementation = _kernels.resolve_kernel(kernel)
+    return implementation.sample(csr, sources, length, world_keys, chunk_rows)
 
 
 def meeting_probabilities_from_matrices(
@@ -444,134 +318,16 @@ def meeting_probabilities_against_many(
     return result
 
 
-def batch_meeting_probabilities(
-    graph: UncertainGraph,
-    u: Vertex,
-    v: Vertex,
-    iterations: int,
-    num_walks: int,
-    rng: RandomState = None,
-) -> List[float]:
-    """Vectorized estimate of ``m(0) … m(n)`` for one query pair."""
-    if num_walks < 1:
-        raise InvalidParameterError(f"num_walks must be >= 1, got {num_walks}")
-    generator = ensure_rng(rng)
-    csr = CSRGraph.from_uncertain(graph)
-    u_index, v_index = csr.index_of(u), csr.index_of(v)
-    walks_u = sample_walk_matrix(csr, u_index, iterations, num_walks, generator)
-    walks_v = sample_walk_matrix(csr, v_index, iterations, num_walks, generator)
-    return meeting_probabilities_from_matrices(
-        walks_u, walks_v, iterations, u_index == v_index
-    )
-
-
 def bundle_key(
     vertex_index: int, twin: bool, length: int, num_walks: int
 ) -> tuple:
     """Canonical store-key *suffix* of one endpoint's walk bundle.
 
-    Every producer prefixes this with its sampling-scheme namespace —
-    ``("rng",)`` for the stateful-generator bundles of
-    :class:`WalkBundleCache`, ``("keyed", seed, shard_size)`` for the
-    deterministic sharded sampler (see
-    :meth:`repro.service.sharding.ShardedWalkSampler.store_key`) — so that
-    bundles drawn under different schemes can share one
+    Every producer prefixes this with its sampling-scheme namespace,
+    ``("keyed", seed, shard_size)`` (see
+    :meth:`repro.service.sharding.ShardedWalkSampler.store_key`), so that
+    bundles drawn under different seeds or shard sizes can share one
     :class:`~repro.service.bundle_store.WalkBundleStore` without ever being
     mistaken for each other.
     """
     return (int(vertex_index), bool(twin), int(length), int(num_walks))
-
-
-class WalkBundleCache:
-    """Walk matrices sampled once per endpoint and shared across query pairs.
-
-    The *stateful-generator* reference of per-endpoint bundle sharing: each
-    unique endpoint's ``(N, n + 1)`` bundle is sampled once (from a shared
-    ``Generator``) and reused for every pair it participates in.  Production
-    batching moved to the keyed scheme of
-    :class:`repro.core.executors.SerialWalkSource` — a pure function of
-    ``(seed, vertex, twin, shard)``, order-independent — so this class is
-    retained as the simpler executable specification of the sharing idea.
-    Individual pair estimates stay unbiased either way; reuse only
-    correlates estimates *across* pairs, the same trade the paper makes when
-    reusing offline filter vectors.
-
-    Bundles live in a :class:`repro.service.bundle_store.WalkBundleStore`
-    rather than a plain dict, so long-running callers can pass a shared,
-    LRU-bounded ``store`` and keep memory under a budget; without one, an
-    unbounded per-cache store is created (the lifetime of which is the
-    lifetime of the cache, i.e. one batched query).
-    """
-
-    def __init__(
-        self,
-        csr: CSRGraph,
-        length: int,
-        num_walks: int,
-        rng: RandomState = None,
-        store: "object | None" = None,
-    ) -> None:
-        if num_walks < 1:
-            raise InvalidParameterError(f"num_walks must be >= 1, got {num_walks}")
-        self._csr = csr
-        self._length = length
-        self._num_walks = num_walks
-        self._rng = ensure_rng(rng)
-        if store is None:
-            # Imported lazily: repro.core must stay importable without the
-            # service layer, and repro.service imports repro.core.
-            from repro.service.bundle_store import WalkBundleStore
-
-            store = WalkBundleStore(budget_bytes=None)
-        self._store = store
-
-    @property
-    def csr(self) -> CSRGraph:
-        """The snapshot the bundles were sampled on."""
-        return self._csr
-
-    @property
-    def store(self) -> "object":
-        """The bundle store backing this cache."""
-        return self._store
-
-    def bundle(self, vertex_index: int, twin: bool = False) -> np.ndarray:
-        """The (cached) walk matrix of one endpoint.
-
-        ``twin=True`` returns a second, independently sampled bundle for the
-        same endpoint — needed for self-pairs ``(u, u)``, where comparing a
-        bundle against itself would make the two walks of every sample index
-        perfectly correlated and wildly overestimate the meeting probability.
-        """
-        key = ("rng",) + bundle_key(vertex_index, twin, self._length, self._num_walks)
-        bundle = self._store.get(key)
-        if bundle is None:
-            bundle = sample_walk_matrix(
-                self._csr, vertex_index, self._length, self._num_walks, self._rng
-            )
-            self._store.put(key, bundle)
-        return bundle
-
-    def meeting_probabilities(self, u: Vertex, v: Vertex) -> List[float]:
-        """``m(0) … m(n)`` for a pair, reusing each endpoint's bundle."""
-        u_index = self._csr.index_of(u)
-        v_index = self._csr.index_of(v)
-        same = u_index == v_index
-        return meeting_probabilities_from_matrices(
-            self.bundle(u_index), self.bundle(v_index, twin=same), self._length, same
-        )
-
-
-def scalar_walks_as_matrix(
-    walks: Sequence[Sequence[Vertex]], csr: CSRGraph, columns: int
-) -> np.ndarray:
-    """Pack label-level walks from the scalar sampler into a walk matrix.
-
-    Used by the cross-validation tests to compare the two samplers through a
-    single code path.
-    """
-    matrix = np.full((len(walks), columns), NO_VERTEX, dtype=np.int64)
-    for row, walk in enumerate(walks):
-        for column, vertex in enumerate(walk[:columns]):
-            matrix[row, column] = csr.index_of(vertex)
-    return matrix

@@ -15,10 +15,9 @@ answer bit-identically at equal graph states.
 Multi-pair calls (:meth:`SimRankEngine.similarity_many`) share batch work
 per *unique endpoint*: walk bundles for the sampled stages, single-source
 transition distributions for the exact stages, and SR-SP propagation tables
-per endpoint side.  All vectorized randomness is keyed (walk bundles from
-``(seed, vertex, twin, shard)`` world keys, SR-SP filters from per-walk-count
-seed streams), so results are independent of query order and batching; the
-``backend="python"`` scalar reference remains stateful and per-pair.
+per endpoint side.  All randomness is keyed (walk bundles from ``(seed,
+vertex, twin, shard)`` world keys, SR-SP filters from per-walk-count seed
+streams), so results are independent of query order and batching.
 
 Both caches (filters, α) are keyed on the graph's mutation version, so
 mutating or replacing :attr:`graph` transparently rebuilds them.
@@ -31,7 +30,7 @@ from typing import Hashable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.baseline import baseline_simrank_all_pairs
-from repro.core.batch_walks import DEFAULT_SHARD_SIZE, validate_backend
+from repro.core.batch_walks import DEFAULT_SHARD_SIZE
 from repro.core.kernels import validate_kernel
 from repro.core.executors import (
     METHODS,
@@ -44,13 +43,13 @@ from repro.core.sampling import DEFAULT_NUM_WALKS
 from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES
 from repro.core.simrank import (
     DEFAULT_DECAY,
+    DEFAULT_EXACT_PREFIX,
     DEFAULT_ITERATIONS,
     SimRankResult,
     validate_decay,
     validate_iterations,
 )
 from repro.core.speedup import FilterVectors
-from repro.core.two_phase import DEFAULT_EXACT_PREFIX
 from repro.core.walks import AlphaCache
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.errors import InvalidParameterError
@@ -83,12 +82,10 @@ class SimRankEngine:
         The ``l`` of the two-phase methods; default 1.
     seed:
         Seed (or generator) driving all randomness of the engine.  An integer
-        seed makes every vectorized answer a pure function of ``(graph state,
-        seed, shard_size)`` — the property the serving layer's bit-identity
-        rests on.
-    backend:
-        ``"vectorized"`` (default) or ``"python"``; the estimator engine used
-        by the sampling-based methods.
+        seed makes every answer a pure function of ``(graph state, seed,
+        shard_size)`` — the property the serving layer's bit-identity rests
+        on; a generator (or ``None``) supplies the integer seed once, at
+        construction.
     bundle_store:
         Optional :class:`repro.service.bundle_store.WalkBundleStore` shared
         across batched sampling queries.  With a store, walk bundles persist
@@ -118,7 +115,6 @@ class SimRankEngine:
         num_walks: int = DEFAULT_NUM_WALKS,
         exact_prefix: int = DEFAULT_EXACT_PREFIX,
         seed: RandomState = None,
-        backend: str = "vectorized",
         bundle_store: "object | None" = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         topk_index_budget_bytes: "int | None" = DEFAULT_INDEX_BUDGET_BYTES,
@@ -140,15 +136,13 @@ class SimRankEngine:
             raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
         self.num_walks = num_walks
         self.exact_prefix = exact_prefix
-        self.backend = validate_backend(backend)
         self.shard_size = int(shard_size)
-        self._rng = ensure_rng(seed)
         if isinstance(seed, (int, np.integer)):
             self._seed = int(seed)
         else:
             # No (or a generator) seed: derive the keyed-scheme base seed
             # from the generator so the engine stays self-consistent.
-            self._seed = int(self._rng.integers(2**63))
+            self._seed = int(ensure_rng(seed).integers(2**63))
         self._caches = EngineCaches(
             graph,
             self._graph_key(),
@@ -204,7 +198,8 @@ class SimRankEngine:
         """Offline-built filter vectors for the v-side SR-SP bundle.
 
         Kept independent of :attr:`filters` so the two endpoint walk bundles
-        stay statistically independent (DESIGN.md §5.1).
+        stay statistically independent (see
+        :meth:`~repro.core.executors.EngineCaches.filter_pair`).
         """
         return self.caches.filter_pair(self.num_walks)[1]
 
@@ -235,7 +230,6 @@ class SimRankEngine:
             iterations=self.iterations,
             num_walks=self.num_walks,
             exact_prefix=self.exact_prefix,
-            backend=self.backend,
             walks=SerialWalkSource(
                 self._seed, self.shard_size, store=self.bundle_store,
                 kernel=self.kernel,
@@ -256,10 +250,10 @@ class SimRankEngine:
         ``method`` is one of ``"baseline"``, ``"sampling"``, ``"two_phase"``
         (SR-TS) and ``"speedup"`` (SR-SP).  Keyword overrides are validated
         against the method's executor — each executor declares exactly the
-        overrides that are meaningful for it (e.g. ``num_walks=`` /
-        ``backend=`` for the sampled methods, ``exact_prefix=`` for the
-        two-phase ones, ``max_states=`` for every exact stage) and rejects
-        the rest with a clear error.
+        overrides that are meaningful for it (e.g. ``num_walks=`` for the
+        sampled methods, ``exact_prefix=`` for the two-phase ones,
+        ``max_states=`` for every exact stage) and rejects the rest with a
+        clear error.
         """
         return self.similarity_many([(u, v)], method=method, **overrides)[0]
 
@@ -291,7 +285,7 @@ class SimRankEngine:
         snapshot and want shared prefix work to accumulate across them —
         the access pattern of the index-pruned top-k helpers.
         """
-        return executor_for(method)(self.snapshot(), rng=self._rng)
+        return executor_for(method)(self.snapshot())
 
     def similarity_matrix(
         self, order: Sequence[Vertex] | None = None, **overrides: object
@@ -316,13 +310,15 @@ def compute_simrank(
     num_walks: int = DEFAULT_NUM_WALKS,
     exact_prefix: int = DEFAULT_EXACT_PREFIX,
     seed: RandomState = None,
-    backend: str = "vectorized",
     **overrides: object,
 ) -> SimRankResult:
     """One-shot convenience wrapper around :class:`SimRankEngine`.
 
-    Useful for scripts and examples; applications issuing many queries should
-    create a single engine so that caches and filter vectors are reused.
+    The single-pair entry point of every method — e.g. the all-sampled SR-SP
+    estimator of Fig. 5 is ``compute_simrank(..., method="speedup",
+    exact_prefix=0)``.  Useful for scripts and examples; applications
+    issuing many queries should create a single engine so that caches and
+    filter vectors are reused.
     """
     engine = SimRankEngine(
         graph,
@@ -331,6 +327,5 @@ def compute_simrank(
         num_walks=num_walks,
         exact_prefix=exact_prefix,
         seed=seed,
-        backend=backend,
     )
     return engine.similarity(u, v, method=method, **overrides)

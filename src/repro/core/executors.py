@@ -47,8 +47,9 @@ All randomness is keyed, never stateful: walk bundles derive from the
 from per-``(side, num_walks)`` seed sequences inside :class:`EngineCaches`.
 Results therefore do not depend on query order, batch composition, or which
 thread answers — the property the epoch-pinned service is built on.  The
-``"python"`` reference backend (scalar, stateful RNG) remains available
-through the engine for cross-validation.
+executors are the only estimator path: the scalar samplers in
+:mod:`repro.core.sampling` and :mod:`repro.core.speedup` are test oracles
+that no option routes to.
 
 Every executor declares the overrides it accepts
 (:attr:`MethodExecutor.accepted_overrides`); an override that is
@@ -83,11 +84,10 @@ from repro.core.batch_walks import (
     meeting_probabilities_against_many,
     meeting_probabilities_from_matrices,
     sample_walk_matrix_keyed,
-    validate_backend,
 )
 from repro.core.kernels import validate_kernel
-from repro.core.sampling import sampling_simrank
 from repro.core.simrank import (
+    DEFAULT_EXACT_PREFIX,
     SimRankResult,
     meeting_probability,
     meeting_probabilities_from_distributions,
@@ -101,7 +101,6 @@ from repro.core.speedup import (
 from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES, TopKIndexStore
 from repro.obs import NULL_SCOPE
 from repro.core.transition import single_source_transition_probabilities
-from repro.core.two_phase import DEFAULT_EXACT_PREFIX, two_phase_simrank
 from repro.core.walks import AlphaCache
 from repro.graph.csr import CSRGraph, CSRGraphView
 from repro.graph.uncertain_graph import UncertainGraph
@@ -284,9 +283,11 @@ class EngineCaches:
         """The (u-side, v-side) SR-SP filter vectors for one walk count.
 
         The two sets are drawn independently so the two endpoint walk
-        bundles of a query stay statistically independent (DESIGN.md §5.1);
-        both are built lazily on first use and reused for every later query
-        at this snapshot and walk count.
+        bundles of a query stay statistically independent, as the Sampling
+        estimator assumes (one shared set would make process ``i`` walk the
+        same possible world from both endpoints); both are built lazily on
+        first use and reused for every later query at this snapshot and
+        walk count.
         """
         with self._lock:
             pair = self._filter_pairs.get(int(num_walks))
@@ -563,7 +564,6 @@ class EngineSnapshot:
     iterations: int
     num_walks: int
     exact_prefix: int = DEFAULT_EXACT_PREFIX
-    backend: str = "vectorized"
     walks: Optional[WalkSource] = None
 
     @property
@@ -582,10 +582,6 @@ class MethodExecutor:
     instance, so reusing one executor across the chunks of a streamed query
     keeps sharing it, while a fresh executor starts clean.
 
-    ``rng`` is only consulted by the scalar ``"python"`` reference backend
-    (per-pair, stateful); every ``"vectorized"`` path is fully keyed off the
-    snapshot and needs no generator.
-
     ``obs_scope`` is the executor's observability hook: a
     :class:`repro.obs.StageScope` (or the no-op :data:`repro.obs.NULL_SCOPE`
     default) that times the method's internal stages — ``shared_prefix``
@@ -599,13 +595,8 @@ class MethodExecutor:
     method: ClassVar[str] = ""
     accepted_overrides: ClassVar[FrozenSet[str]] = frozenset()
 
-    def __init__(
-        self,
-        snapshot: EngineSnapshot,
-        rng: "np.random.Generator | None" = None,
-    ) -> None:
+    def __init__(self, snapshot: EngineSnapshot) -> None:
         self.snapshot = snapshot
-        self.rng = rng
         self.obs_scope = NULL_SCOPE
         # Per-executor shared prefix work: single-source transition
         # distributions keyed by (endpoint, steps, max_states).
@@ -834,40 +825,15 @@ class SamplingExecutor(MethodExecutor):
     """Monte-Carlo estimates (Section VI-B) from shared keyed walk bundles."""
 
     method = "sampling"
-    accepted_overrides = frozenset({"num_walks", "backend"})
+    accepted_overrides = frozenset({"num_walks"})
 
     def _run(
         self, pairs: List[Tuple[Vertex, Vertex]], overrides: Dict[str, object]
     ) -> List[SimRankResult]:
         walks = self._effective_walks(overrides)
-        backend = validate_backend(
-            str(overrides.get("backend", self.snapshot.backend))
-        )
-        snapshot = self.snapshot
-        if backend == "python":
-            # The scalar reference: per-pair stateful sampling on the pinned
-            # view, kept as the executable specification.
-            return [
-                sampling_simrank(
-                    snapshot.caches.view,
-                    u,
-                    v,
-                    decay=snapshot.decay,
-                    iterations=snapshot.iterations,
-                    num_walks=walks,
-                    rng=self.rng,
-                    backend="python",
-                )
-                for u, v in pairs
-            ]
         meetings = self._sampled_meetings(pairs, walks)
         return [
-            self._result(
-                u,
-                v,
-                meeting,
-                {"num_walks": walks, "backend": backend, "shared_bundles": True},
-            )
+            self._result(u, v, meeting, {"num_walks": walks, "shared_bundles": True})
             for (u, v), meeting in zip(pairs, meetings)
         ]
 
@@ -960,7 +926,6 @@ class SamplingExecutor(MethodExecutor):
             meeting,
             {
                 "num_walks": walks,
-                "backend": "vectorized",
                 "shared_bundles": True,
                 "accuracy_target": float(target),
                 "ci_low": ci_low,
@@ -1007,12 +972,23 @@ class SamplingExecutor(MethodExecutor):
 
 
 class TwoPhaseExecutor(MethodExecutor):
-    """SR-TS (Section VI-C): shared exact prefix + shared sampled tail."""
+    """SR-TS (Section VI-C): shared exact prefix + shared sampled tail.
+
+    The two-phase algorithm splits the iteration range at ``l`` (the
+    *exact prefix*).  For ``k <= l`` the meeting probabilities ``m(k)`` are
+    computed exactly with the Baseline machinery: short transition
+    distributions are sparse and cheap, and the exact prefix removes the
+    largest contributions to the estimation error (the weight of ``m(k)``
+    is ``c^k``).  For ``l < k <= n`` they are estimated by sampling — walk
+    bundles here, the SR-SP bit-vector propagation in
+    :class:`SpeedupExecutor`.  Corollary 1 bounds the resulting error by
+    ``ε (c^(l+1) − c^n)`` with probability at least ``1 − δ``, roughly an
+    order of magnitude better than the Sampling algorithm for ``l = 1`` and
+    the paper's default ``c = 0.6``.
+    """
 
     method = "two_phase"
-    accepted_overrides = frozenset(
-        {"num_walks", "backend", "exact_prefix", "max_states"}
-    )
+    accepted_overrides = frozenset({"num_walks", "exact_prefix", "max_states"})
     use_speedup: ClassVar[bool] = False
 
     def _run(
@@ -1028,13 +1004,6 @@ class TwoPhaseExecutor(MethodExecutor):
             )
         max_states = int(overrides.get("max_states", DEFAULT_MAX_STATES))
         walks = self._effective_walks(overrides)
-        backend = validate_backend(
-            str(overrides.get("backend", snapshot.backend))
-        )
-        if backend == "python":
-            return [self._run_python(u, v, prefix, walks, max_states, overrides)
-                    for u, v in pairs]
-
         distributions = self._exact_distributions(
             (endpoint for pair in pairs for endpoint in pair), prefix, max_states
         )
@@ -1051,18 +1020,19 @@ class TwoPhaseExecutor(MethodExecutor):
             if tail is not None:
                 meeting += tail[prefix + 1 :]
             results.append(
-                self._result(u, v, meeting, self._details(prefix, walks, backend))
+                self._result(
+                    u,
+                    v,
+                    meeting,
+                    {
+                        "exact_prefix": prefix,
+                        "num_walks": walks,
+                        "use_speedup": self.use_speedup,
+                        "shared_prefix": True,
+                    },
+                )
             )
         return results
-
-    def _details(self, prefix: int, walks: int, backend: str) -> Dict[str, object]:
-        return {
-            "exact_prefix": prefix,
-            "num_walks": walks,
-            "use_speedup": self.use_speedup,
-            "backend": backend,
-            "shared_prefix": True,
-        }
 
     def _tail_meetings(
         self,
@@ -1073,38 +1043,6 @@ class TwoPhaseExecutor(MethodExecutor):
         """Full-length estimated ``m(0) … m(n)``; the caller keeps the tail."""
         return self._sampled_meetings(pairs, walks)
 
-    def _run_python(
-        self,
-        u: Vertex,
-        v: Vertex,
-        prefix: int,
-        walks: int,
-        max_states: int,
-        overrides: Dict[str, object],
-    ) -> SimRankResult:
-        snapshot = self.snapshot
-        extras: Dict[str, object] = {}
-        if self.use_speedup:
-            pair = snapshot.caches.filter_pair(walks)
-            extras["filters"] = overrides.get("filters", pair[0])
-            extras["filters_v"] = overrides.get("filters_v", pair[1])
-            extras["shared_filters"] = bool(overrides.get("shared_filters", False))
-        return two_phase_simrank(
-            snapshot.caches.view,
-            u,
-            v,
-            decay=snapshot.decay,
-            iterations=snapshot.iterations,
-            exact_prefix=prefix,
-            num_walks=walks,
-            rng=self.rng,
-            use_speedup=self.use_speedup,
-            max_states=max_states,
-            alpha_cache=snapshot.caches.alpha_cache,
-            backend="python",
-            **extras,
-        )
-
 
 class SpeedupExecutor(TwoPhaseExecutor):
     """SR-SP (Section VI-D): shared prefix + per-endpoint-side propagation."""
@@ -1113,7 +1051,6 @@ class SpeedupExecutor(TwoPhaseExecutor):
     accepted_overrides = frozenset(
         {
             "num_walks",
-            "backend",
             "exact_prefix",
             "max_states",
             "filters",
@@ -1191,10 +1128,6 @@ def executor_for(method: str) -> Type[MethodExecutor]:
         ) from None
 
 
-def make_executor(
-    method: str,
-    snapshot: EngineSnapshot,
-    rng: "np.random.Generator | None" = None,
-) -> MethodExecutor:
+def make_executor(method: str, snapshot: EngineSnapshot) -> MethodExecutor:
     """Construct the snapshot-scoped executor for one method."""
-    return executor_for(method)(snapshot, rng=rng)
+    return executor_for(method)(snapshot)

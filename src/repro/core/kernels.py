@@ -10,8 +10,8 @@ bit-for-bit may run the loop.  This module is the seam where those
 implementations plug in:
 
 ``"reference"``
-    The original step loop (:func:`repro.core.batch_walks._sample_walks_core`
-    with keyed picks).  Always available; the other backends are pinned
+    The original step loop (:class:`ReferenceKernel`), written for clarity
+    rather than speed.  Always available; the other backends are pinned
     bit-identical against it.
 
 ``"numpy"``
@@ -57,8 +57,8 @@ from repro.core.batch_walks import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_M1,
     _SPLITMIX_M2,
+    _arc_uniforms,
     _pick_uniforms,
-    _sample_walks_core,
     _splitmix64,
     keyed_chunk_rows,
 )
@@ -229,28 +229,69 @@ class ReferenceKernel(KernelBackend):
         chunk_rows: "int | None" = None,
     ) -> np.ndarray:
         rows = resolve_chunk_rows(csr, length, chunk_rows)
-
-        def sample_chunk(chunk_sources: np.ndarray, chunk_keys: np.ndarray):
-            return _sample_walks_core(
-                csr,
-                chunk_sources,
-                length,
-                chunk_keys,
-                lambda active, step: _pick_uniforms(chunk_keys[active], step),
-            )
-
         if sources.size <= rows:
-            return sample_chunk(sources, world_keys)
+            return self._sample_chunk(csr, sources, length, world_keys)
         return np.concatenate(
             [
-                sample_chunk(
+                self._sample_chunk(
+                    csr,
                     sources[start : start + rows],
+                    length,
                     world_keys[start : start + rows],
                 )
                 for start in range(0, sources.size, rows)
             ],
             axis=0,
         )
+
+    @staticmethod
+    def _sample_chunk(
+        csr: CSRGraph, sources: np.ndarray, length: int, world_keys: np.ndarray
+    ) -> np.ndarray:
+        """One chunk of the step loop, in the ragged flat arc layout."""
+        count = sources.shape[0]
+        walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
+        walks[:, 0] = sources
+        if count == 0 or length == 0:
+            return walks
+
+        active = np.arange(count)
+        current = sources.astype(np.int64, copy=True)
+        indptr, indices, probs = csr.indptr, csr.indices, csr.probs
+        for step in range(length):
+            if active.size == 0:
+                break
+            vertices = current[active]
+            starts = indptr[vertices]
+            degrees = indptr[vertices + 1] - starts
+            has_out = degrees > 0
+            active, starts, degrees = active[has_out], starts[has_out], degrees[has_out]
+            if active.size == 0:
+                break
+            # Flat ragged layout: one entry per candidate (walk, out-arc)
+            # pair, so the per-step work is the actual arc count, not
+            # walks × max-degree.
+            row_starts = np.concatenate(([0], degrees.cumsum()))
+            flat_row = np.repeat(np.arange(active.size), degrees)
+            arc_ids = starts[flat_row] + np.arange(row_starts[-1]) - row_starts[flat_row]
+            uniforms = _arc_uniforms(world_keys[active][flat_row], arc_ids)
+            exists = (uniforms < probs[arc_ids]).astype(np.int64)
+            instantiated = np.add.reduceat(exists, row_starts[:-1])
+            alive = instantiated > 0
+            # Uniform choice among the instantiated arcs of each walk: pick
+            # the (picks + 1)-th instantiated arc by its within-row count.
+            picks = (_pick_uniforms(world_keys[active], step) * instantiated).astype(
+                np.int64
+            )
+            cumulative = exists.cumsum()
+            row_base = cumulative[row_starts[:-1]] - exists[row_starts[:-1]]
+            within = cumulative - row_base[flat_row]
+            chosen = np.flatnonzero(exists & (within == picks[flat_row] + 1))
+            destinations = indices[arc_ids[chosen]]
+            active = active[alive]
+            walks[active, step + 1] = destinations
+            current[active] = destinations
+        return walks
 
 
 class _Scratch:

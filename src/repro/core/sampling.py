@@ -10,14 +10,13 @@ The meeting probability ``m(k)`` is estimated by the fraction of sample
 indices ``i`` whose two walks stand on the same vertex at step ``k``
 (Eq. 13), and Lemma 4 / Theorem 4 give Chernoff-style error guarantees.
 
-Two backends implement the estimator:
-
-* ``"vectorized"`` (default) — :mod:`repro.core.batch_walks` samples all
-  ``N`` walks of an endpoint simultaneously as one numpy walk matrix over the
-  :class:`~repro.graph.csr.CSRGraph` snapshot of the graph.
-* ``"python"`` — the scalar reference implementation below, one walk at a
-  time over the dict-of-dict graph.  Kept as the executable specification the
-  vectorized engine is cross-validated against.
+The estimator itself runs in
+:class:`~repro.core.executors.SamplingExecutor`, which samples every walk
+of a batch in one keyed sweep over the :class:`~repro.graph.csr.CSRGraph`
+snapshot (:mod:`repro.core.batch_walks`).  The functions below are the
+scalar transcription of the paper's definitions — one walk at a time over
+the dict-of-dict graph — kept as the test oracle the executor is checked
+against; no engine option routes to them.
 """
 
 from __future__ import annotations
@@ -25,15 +24,6 @@ from __future__ import annotations
 import math
 from typing import Hashable, List, Sequence
 
-from repro.core.batch_walks import batch_meeting_probabilities, validate_backend
-from repro.core.simrank import (
-    DEFAULT_DECAY,
-    DEFAULT_ITERATIONS,
-    SimRankResult,
-    simrank_from_meeting_probabilities,
-    validate_decay,
-    validate_iterations,
-)
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import RandomState, ensure_rng
@@ -130,64 +120,3 @@ def estimate_meeting_probabilities(
                 hits += 1
         meeting.append(hits / count)
     return meeting
-
-
-def sampling_meeting_probabilities(
-    graph: UncertainGraph,
-    u: Vertex,
-    v: Vertex,
-    iterations: int,
-    num_walks: int = DEFAULT_NUM_WALKS,
-    rng: RandomState = None,
-    backend: str = "vectorized",
-) -> List[float]:
-    """Sample walk bundles from both endpoints and estimate ``m(0) … m(n)``."""
-    iterations = validate_iterations(iterations)
-    backend = validate_backend(backend)
-    if num_walks < 1:
-        raise InvalidParameterError(f"num_walks must be >= 1, got {num_walks}")
-    generator = ensure_rng(rng)
-    if backend == "vectorized":
-        return batch_meeting_probabilities(
-            graph, u, v, iterations, num_walks, generator
-        )
-    walks_u = sample_walks(graph, u, iterations, num_walks, generator)
-    walks_v = sample_walks(graph, v, iterations, num_walks, generator)
-    return estimate_meeting_probabilities(walks_u, walks_v, iterations, u, v)
-
-
-def sampling_simrank(
-    graph: UncertainGraph,
-    u: Vertex,
-    v: Vertex,
-    decay: float = DEFAULT_DECAY,
-    iterations: int = DEFAULT_ITERATIONS,
-    num_walks: int = DEFAULT_NUM_WALKS,
-    rng: RandomState = None,
-    backend: str = "vectorized",
-) -> SimRankResult:
-    """The Sampling algorithm (Fig. 4): estimate ``s(n)(u, v)`` by Monte Carlo.
-
-    Parameters mirror :func:`repro.core.baseline.baseline_simrank`, plus
-    ``num_walks`` (the paper's ``N``, default 1000), ``rng`` for
-    reproducibility, and ``backend`` selecting the batch walk engine
-    (``"vectorized"``) or the scalar reference sampler (``"python"``).
-    """
-    decay = validate_decay(decay)
-    iterations = validate_iterations(iterations)
-    if not graph.has_vertex(u) or not graph.has_vertex(v):
-        raise InvalidParameterError(f"both query vertices must be in the graph: {u!r}, {v!r}")
-    meeting = sampling_meeting_probabilities(
-        graph, u, v, iterations, num_walks=num_walks, rng=rng, backend=backend
-    )
-    score = simrank_from_meeting_probabilities(meeting, decay)
-    return SimRankResult(
-        u=u,
-        v=v,
-        score=score,
-        meeting_probabilities=tuple(meeting),
-        decay=decay,
-        iterations=iterations,
-        method="sampling",
-        details={"num_walks": num_walks, "backend": backend},
-    )

@@ -36,6 +36,10 @@ DEFAULT_DECAY = 0.6
 #: Default number of iterations; the paper observes convergence within 5.
 DEFAULT_ITERATIONS = 5
 
+#: Default exact-prefix length ``l`` of the two-phase algorithms SR-TS and
+#: SR-SP; the paper recommends l = 1 as the sweet spot.
+DEFAULT_EXACT_PREFIX = 1
+
 
 def validate_decay(decay: float) -> float:
     """Validate the decay factor ``c`` (must lie strictly between 0 and 1)."""

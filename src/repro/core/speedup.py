@@ -16,20 +16,22 @@ walk extensions: ``M_x[k+1] |= M_w[k] & F_(w,x)``.  The meeting-probability
 estimate (Eq. 16) is the popcount of ``M_w[k] & M'_w[k]`` summed over the
 vertices reachable at step ``k`` from both endpoints.
 
-Fidelity note (see DESIGN.md §5): the paper builds one set of filter vectors
-and reuses it for both endpoints, which correlates the two walk bundles.  By
-default this implementation draws an independent filter set per endpoint so
-the estimator matches the Sampling algorithm's independence assumption;
+Fidelity note: the paper builds one set of filter vectors and reuses it for
+both endpoints, which correlates the two walk bundles of a query (the same
+process index walks the same possible world from both sides).  The SR-SP
+executor therefore draws an independent filter set per endpoint side, so the
+estimator keeps the Sampling algorithm's independence assumption;
 ``shared_filters=True`` restores the paper's exact behaviour.
 
 The filter construction and the online propagation both run on the
-:class:`~repro.graph.csr.CSRGraph` snapshot of the graph.  Filters are stored
-twice: as per-arc :class:`BitVector` objects (the ``"python"`` reference
-backend and the public :meth:`FilterVectors.get` API) and as one
-``(num_arcs, words)`` uint64 matrix consumed by the ``"vectorized"`` backend,
-whose propagation is a handful of numpy gather / AND / segmented-OR passes
-per step instead of a Python loop over counting-table entries.  Both backends
-read the *same* sampled bits, so their estimates agree exactly.
+:class:`~repro.graph.csr.CSRGraph` snapshot of the graph.  The filter bits
+live in one ``(num_arcs, words)`` uint64 matrix; the executor's propagation
+(:func:`propagate_packed_tables`) is a handful of numpy gather / AND /
+segmented-OR passes per step.  The per-vertex :class:`BitVector` form
+(:meth:`FilterVectors.get`, :func:`propagate_counting_tables`,
+:func:`meeting_probabilities_from_tables`) is a direct transcription of the
+paper's definitions over the *same* bits, kept as the test oracle the packed
+path must match exactly.
 """
 
 from __future__ import annotations
@@ -38,29 +40,14 @@ from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
-from repro.core.batch_walks import validate_backend
-from repro.core.simrank import (
-    DEFAULT_DECAY,
-    DEFAULT_ITERATIONS,
-    SimRankResult,
-    simrank_from_meeting_probabilities,
-    validate_decay,
-    validate_iterations,
-)
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.utils.bitvector import BitVector
+from repro.utils.bitvector import BitVector, popcount_words
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import RandomState, ensure_rng
 
 Vertex = Hashable
 Arc = Tuple[Vertex, Vertex]
-
-#: Default number of simultaneous sampling processes (the paper's ``N``).
-DEFAULT_NUM_PROCESSES = 1000
-
-#: Per-byte popcount lookup table for counting meeting processes (Eq. 16).
-_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
 
 
 def _pack_bool_rows(flags: np.ndarray, words: int) -> np.ndarray:
@@ -73,11 +60,6 @@ def _pack_bool_rows(flags: np.ndarray, words: int) -> np.ndarray:
     padded = np.zeros((flags.shape[0], words * 8), dtype=np.uint8)
     padded[:, : packed_bytes.shape[1]] = packed_bytes
     return padded.view(np.uint64)
-
-
-def _popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits in a uint64 array."""
-    return int(_POPCOUNT8[words.reshape(-1).view(np.uint8)].sum())
 
 
 class FilterVectors:
@@ -331,104 +313,6 @@ def packed_meeting_probabilities(
         raise InvalidParameterError("counting tables must cover the same number of steps")
     meeting = [1.0 if u == v else 0.0]
     for k in range(1, tables_u.shape[0]):
-        meeting.append(_popcount_words(tables_u[k] & tables_v[k]) / num_processes)
+        hits = int(popcount_words(tables_u[k] & tables_v[k]).sum(dtype=np.int64))
+        meeting.append(hits / num_processes)
     return meeting
-
-
-def speedup_meeting_probabilities(
-    graph: UncertainGraph,
-    u: Vertex,
-    v: Vertex,
-    iterations: int,
-    num_processes: int = DEFAULT_NUM_PROCESSES,
-    rng: RandomState = None,
-    shared_filters: bool = False,
-    filters: FilterVectors | None = None,
-    filters_v: FilterVectors | None = None,
-    backend: str = "vectorized",
-) -> List[float]:
-    """Estimate ``m(0) … m(n)`` with the bit-vector propagation of SR-SP.
-
-    ``filters`` (and optionally ``filters_v``) may be passed to reuse
-    offline-constructed filter sets — the paper builds them once per graph and
-    reuses them for every query.  ``filters`` drives the ``u``-side bundle;
-    the ``v``-side bundle uses, in order of precedence, the same set when
-    ``shared_filters=True``, the explicit ``filters_v``, or a freshly drawn
-    set.
-
-    ``backend`` selects the online phase: ``"vectorized"`` propagates the
-    packed uint64 filter matrix with numpy segmented reductions, ``"python"``
-    walks the per-vertex :class:`BitVector` counting tables.  Both read the
-    same sampled filter bits and therefore return identical estimates.
-    """
-    iterations = validate_iterations(iterations)
-    backend = validate_backend(backend)
-    generator = ensure_rng(rng)
-    filters_u = filters if filters is not None else FilterVectors(graph, num_processes, generator)
-    if filters_u.num_processes != num_processes:
-        num_processes = filters_u.num_processes
-    if shared_filters:
-        filters_v = filters_u
-    elif filters_v is None:
-        filters_v = FilterVectors(graph, num_processes, generator)
-    elif filters_v.num_processes != num_processes:
-        raise InvalidParameterError(
-            "filters and filters_v must encode the same number of sampling processes"
-        )
-    if backend == "vectorized":
-        packed_u = propagate_packed_tables(u, iterations, filters_u)
-        packed_v = propagate_packed_tables(v, iterations, filters_v)
-        return packed_meeting_probabilities(packed_u, packed_v, num_processes, u, v)
-    tables_u = propagate_counting_tables(graph, u, iterations, filters_u)
-    tables_v = propagate_counting_tables(graph, v, iterations, filters_v)
-    return meeting_probabilities_from_tables(tables_u, tables_v, num_processes, u, v)
-
-
-def speedup_simrank(
-    graph: UncertainGraph,
-    u: Vertex,
-    v: Vertex,
-    decay: float = DEFAULT_DECAY,
-    iterations: int = DEFAULT_ITERATIONS,
-    num_processes: int = DEFAULT_NUM_PROCESSES,
-    rng: RandomState = None,
-    shared_filters: bool = False,
-    filters: FilterVectors | None = None,
-    filters_v: FilterVectors | None = None,
-    backend: str = "vectorized",
-) -> SimRankResult:
-    """SimRank estimate using the SR-SP bit-vector sampling for every step.
-
-    This is the Speedup algorithm of Fig. 5 applied to the plain sampling
-    estimator; the two-phase variant (exact prefix + sped-up tail) lives in
-    :func:`repro.core.two_phase.two_phase_simrank` with ``use_speedup=True``.
-    """
-    decay = validate_decay(decay)
-    iterations = validate_iterations(iterations)
-    if not graph.has_vertex(u) or not graph.has_vertex(v):
-        raise InvalidParameterError(f"both query vertices must be in the graph: {u!r}, {v!r}")
-    if filters is not None:
-        num_processes = filters.num_processes
-    meeting = speedup_meeting_probabilities(
-        graph,
-        u,
-        v,
-        iterations,
-        num_processes=num_processes,
-        rng=rng,
-        shared_filters=shared_filters,
-        filters=filters,
-        filters_v=filters_v,
-        backend=backend,
-    )
-    score = simrank_from_meeting_probabilities(meeting, decay)
-    return SimRankResult(
-        u=u,
-        v=v,
-        score=score,
-        meeting_probabilities=tuple(meeting),
-        decay=decay,
-        iterations=iterations,
-        method="speedup",
-        details={"num_processes": num_processes, "shared_filters": shared_filters},
-    )

@@ -6,8 +6,8 @@ query protein.  These helpers evaluate a SimRank estimator over a candidate
 set and return the best-scoring items.
 
 Scoring goes through :meth:`SimRankEngine.similarity_many`, so for the
-sampling-based estimator on the vectorized backend the walk bundles are
-sampled once per unique endpoint of the candidate set and reused across every
+sampling-based estimators the walk bundles are sampled once per unique
+endpoint of the candidate set and reused across every
 candidate pair — a top-k-for-vertex query over ``m`` candidates costs
 ``m + 1`` bundle samples instead of ``2m``.  Ranking is deterministic: ties
 are broken by candidate order (earlier candidates win), and ``k`` larger than
@@ -18,8 +18,8 @@ With ``use_index=True`` both helpers consult the snapshot's
 a provable upper bound per candidate — and only exact-rescore candidates
 whose bound could still reach the k-th best score.  The pruned ranking is
 bit-identical to the scan (same :func:`rank_top_k` tie-breaking); when the
-index cannot serve the request (python backend on a sampled method, budget
-exceeded), the helpers silently fall back to the scan.
+index cannot serve the request (an artifact over the byte budget), the
+helpers silently fall back to the scan.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def _engine_index(engine: SimRankEngine, method: str, overrides: dict):
         method,
         num_walks=overrides.get("num_walks"),
         exact_prefix=overrides.get("exact_prefix"),
-        backend=overrides.get("backend"),
     )
 
 

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.core.batch_walks import NO_VERTEX, _splitmix64
 from repro.obs import NULL_SCOPE
+from repro.utils.bitvector import popcount_words
 from repro.utils.errors import InvalidParameterError
 
 Vertex = Hashable
@@ -87,21 +88,6 @@ _HIGH = np.uint64(0x8000800080008000)
 _LANES_PER_WORD = 4  # uint16 lanes packed per uint64 word
 
 _SKETCHED_METHODS = ("sampling", "two_phase")
-
-if hasattr(np, "bitwise_count"):
-
-    def _popcount(words: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(words)
-
-else:  # pragma: no cover - exercised only on older numpy
-    _POPCOUNT_TABLE = np.array(
-        [bin(value).count("1") for value in range(256)], dtype=np.uint8
-    )
-
-    def _popcount(words: np.ndarray) -> np.ndarray:
-        as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
-        return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.int64)
-
 
 def _zero_lane_flags(words: np.ndarray) -> np.ndarray:
     """High bit of every 16-bit lane that is exactly zero (exact SWAR).
@@ -202,7 +188,7 @@ class VertexSketches:
         both_equal = _zero_lane_flags(xor)
         left_alive = ~_zero_lane_flags(left) & _HIGH
         matched = both_equal & left_alive
-        return _popcount(matched).sum(axis=2, dtype=np.int64)
+        return popcount_words(matched).sum(axis=2, dtype=np.int64)
 
 
 def sketch_walk_matrices(matrices: np.ndarray, num_walks: int) -> np.ndarray:
@@ -483,19 +469,16 @@ def snapshot_index(
     method: str,
     num_walks: Optional[int] = None,
     exact_prefix: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Optional[TopKIndex]:
     """The lazily built index of a pinned snapshot, or ``None`` if unusable.
 
     ``None`` means "fall back to the scan": the snapshot's caches carry no
-    index store, a required artifact exceeds the byte budget, or the
-    effective backend is ``python`` for a sketched method (the python
-    sampler is not the keyed estimator the sketches bound).
+    index store, a required artifact exceeds the byte budget, or a sketched
+    method has no walk source to sketch from.
     """
     store: Optional[TopKIndexStore] = getattr(snapshot.caches, "topk_indexes", None)
     if store is None:
         return None
-    effective_backend = backend if backend is not None else snapshot.backend
     prefix = exact_prefix if exact_prefix is not None else snapshot.exact_prefix
     iterations = snapshot.iterations
     csr = snapshot.csr
@@ -513,7 +496,7 @@ def snapshot_index(
         method == "two_phase" and min(prefix, iterations) < iterations
     )
     if needs_sketch:
-        if snapshot.walks is None or effective_backend != "vectorized":
+        if snapshot.walks is None:
             return None
         walks = num_walks if num_walks is not None else snapshot.num_walks
         sketches, elapsed = store.get_or_build(

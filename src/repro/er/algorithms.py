@@ -42,7 +42,8 @@ Clusters = List[List[str]]
 #: Aggregation threshold for SimER / SimDER.  The paper uses 0.1 on its DBLP
 #: entity graph; the synthetic record graphs built here are an order of
 #: magnitude smaller, which compresses absolute SimRank values, so the default
-#: is calibrated to the generator (see DESIGN.md substitutions).
+#: is calibrated to the synthetic record generator of :mod:`repro.er.records`
+#: instead.
 DEFAULT_SIMRANK_THRESHOLD = 0.02
 
 #: Edge-weight threshold used by the EIF pre-processing step.

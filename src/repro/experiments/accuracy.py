@@ -6,6 +6,10 @@ tested algorithm producing ``s`` is ``|s − s*| / s*``, averaged over random
 vertex pairs.  The paper's findings: Sampling sits around 10% relative error,
 SR-TS and SR-SP around 1%, and the error drops as the exact prefix ``l``
 grows.
+
+Every estimate runs through :class:`~repro.core.engine.SimRankEngine` — the
+executors that serve production traffic — one engine per dataset, seeded
+from the harness seed.
 """
 
 from __future__ import annotations
@@ -13,13 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.core.baseline import baseline_simrank
 from repro.core.engine import SimRankEngine
-from repro.core.sampling import sampling_simrank
-from repro.core.speedup import FilterVectors
 from repro.core.transition import WalkExplosionError
-from repro.core.two_phase import two_phase_simrank
-from repro.core.walks import AlphaCache
 from repro.datasets.registry import load_dataset
 from repro.experiments.report import format_table
 from repro.graph.generators import related_vertex_pairs
@@ -64,23 +63,17 @@ def run_accuracy_experiment(
     for name in datasets:
         graph = load_dataset(name)
         pairs = related_vertex_pairs(graph, num_pairs, rng=generator)
-        cache = AlphaCache(graph)
-        filters = FilterVectors(graph, num_walks, generator)
-        filters_v = FilterVectors(graph, num_walks, generator)
+        engine = SimRankEngine(
+            graph, decay=decay, iterations=iterations, num_walks=num_walks, seed=generator
+        )
         labels = algorithm_labels(prefixes)
         totals: Dict[str, float] = {label: 0.0 for label in labels}
         evaluated = 0
 
         for u, v in pairs:
             try:
-                reference = baseline_simrank(
-                    graph,
-                    u,
-                    v,
-                    decay=decay,
-                    iterations=iterations,
-                    max_states=max_states,
-                    alpha_cache=cache,
+                reference = engine.similarity(
+                    u, v, method="baseline", max_states=max_states
                 ).score
             except WalkExplosionError:
                 continue
@@ -88,40 +81,17 @@ def run_accuracy_experiment(
                 continue
             evaluated += 1
 
-            estimate = sampling_simrank(
-                graph, u, v, decay=decay, iterations=iterations, num_walks=num_walks, rng=generator
-            ).score
+            estimate = engine.similarity(u, v, method="sampling").score
             totals["Sampling"] += relative_error(estimate, reference)
 
             for exact_prefix in prefixes:
-                estimate = two_phase_simrank(
-                    graph,
-                    u,
-                    v,
-                    decay=decay,
-                    iterations=iterations,
-                    exact_prefix=exact_prefix,
-                    num_walks=num_walks,
-                    rng=generator,
-                    alpha_cache=cache,
-                ).score
-                totals[f"SR-TS(l={exact_prefix})"] += relative_error(estimate, reference)
-
-                estimate = two_phase_simrank(
-                    graph,
-                    u,
-                    v,
-                    decay=decay,
-                    iterations=iterations,
-                    exact_prefix=exact_prefix,
-                    num_walks=num_walks,
-                    rng=generator,
-                    use_speedup=True,
-                    filters=filters,
-                    filters_v=filters_v,
-                    alpha_cache=cache,
-                ).score
-                totals[f"SR-SP(l={exact_prefix})"] += relative_error(estimate, reference)
+                for method, label in (("two_phase", "SR-TS"), ("speedup", "SR-SP")):
+                    estimate = engine.similarity(
+                        u, v, method=method, exact_prefix=exact_prefix
+                    ).score
+                    totals[f"{label}(l={exact_prefix})"] += relative_error(
+                        estimate, reference
+                    )
 
         result = AccuracyResult(dataset=name, pairs_evaluated=evaluated)
         for label in labels:

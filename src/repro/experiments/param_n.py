@@ -6,6 +6,10 @@ time and the average relative error against the Baseline reference.  Expected
 shape: time grows roughly linearly (sub-linearly for SR-SP thanks to the
 shared bit-vector propagation), error decreases with ``N`` and flattens once
 ``N`` reaches about 1000.
+
+Every query runs through one :class:`~repro.core.engine.SimRankEngine`
+seeded from the harness seed; the SR-SP filter vectors of each ``N`` are
+built offline, before its timed loop.
 """
 
 from __future__ import annotations
@@ -13,17 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.baseline import baseline_simrank
-from repro.core.speedup import FilterVectors
+from repro.core.engine import SimRankEngine
 from repro.core.transition import WalkExplosionError
-from repro.core.two_phase import two_phase_simrank
-from repro.core.walks import AlphaCache
 from repro.datasets.registry import load_dataset
+from repro.experiments.efficiency import time_query
 from repro.experiments.report import format_table
 from repro.graph.generators import related_vertex_pairs
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.stats import relative_error
-from repro.utils.timer import time_call
 
 
 @dataclass
@@ -51,15 +52,17 @@ def run_param_n_experiment(
     generator = ensure_rng(seed)
     graph = load_dataset(dataset)
     pairs = related_vertex_pairs(graph, num_pairs, rng=generator)
-    cache = AlphaCache(graph)
+    engine = SimRankEngine(
+        graph, decay=decay, iterations=iterations, exact_prefix=exact_prefix,
+        seed=generator,
+    )
 
     # Baseline references (pairs that explode or have zero similarity are dropped).
     references: List[Tuple[object, object, float]] = []
     for u, v in pairs:
         try:
-            score = baseline_simrank(
-                graph, u, v, decay=decay, iterations=iterations,
-                max_states=max_states, alpha_cache=cache,
+            score = engine.similarity(
+                u, v, method="baseline", max_states=max_states
             ).score
         except WalkExplosionError:
             continue
@@ -69,28 +72,15 @@ def run_param_n_experiment(
     sr_ts = ParamNResult(dataset=dataset, algorithm="SR-TS")
     sr_sp = ParamNResult(dataset=dataset, algorithm="SR-SP")
     for num_walks in sample_sizes:
-        filters = FilterVectors(graph, num_walks, generator)
-        filters_v = FilterVectors(graph, num_walks, generator)
+        engine.caches.filter_pair(num_walks)  # the offline SR-SP build, untimed
         totals = {"SR-TS": [0.0, 0.0], "SR-SP": [0.0, 0.0]}  # [time, error]
         for u, v, reference in references:
-            result, elapsed = time_call(
-                two_phase_simrank,
-                graph, u, v,
-                decay=decay, iterations=iterations, exact_prefix=exact_prefix,
-                num_walks=num_walks, rng=generator, alpha_cache=cache,
-            )
-            totals["SR-TS"][0] += elapsed
-            totals["SR-TS"][1] += relative_error(result.score, reference)
-
-            result, elapsed = time_call(
-                two_phase_simrank,
-                graph, u, v,
-                decay=decay, iterations=iterations, exact_prefix=exact_prefix,
-                num_walks=num_walks, rng=generator, use_speedup=True,
-                filters=filters, filters_v=filters_v, alpha_cache=cache,
-            )
-            totals["SR-SP"][0] += elapsed
-            totals["SR-SP"][1] += relative_error(result.score, reference)
+            for method, key in (("two_phase", "SR-TS"), ("speedup", "SR-SP")):
+                result, elapsed = time_query(
+                    engine, u, v, method, num_walks=num_walks
+                )
+                totals[key][0] += elapsed
+                totals[key][1] += relative_error(result.score, reference)
 
         count = max(len(references), 1)
         for series, key in ((sr_ts, "SR-TS"), (sr_sp, "SR-SP")):

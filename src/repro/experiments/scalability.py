@@ -5,7 +5,9 @@ The paper generates R-MAT uncertain graphs with 2M vertices and 2M–10M edges
 SR-TS and SR-SP grows roughly linearly with the edge count, because the
 per-query cost of both algorithms is driven by the graph density.  The
 analogue here sweeps R-MAT graphs at laptop scale (fixed vertex count, edge
-count swept) and records the same two series.
+count swept) and records the same two series.  Every query runs through one
+:class:`~repro.core.engine.SimRankEngine` per graph, seeded from the harness
+seed, with the SR-SP filter vectors built offline before the timed loop.
 
 :func:`run_service_topk_experiment` extends the sweep to the serving layer:
 on the same R-MAT graphs it compares a per-pair query loop (one
@@ -22,9 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.core.engine import SimRankEngine
-from repro.core.speedup import FilterVectors
-from repro.core.two_phase import two_phase_simrank
-from repro.core.walks import AlphaCache
+from repro.experiments.efficiency import time_query
 from repro.experiments.report import format_table
 from repro.graph.generators import random_vertex_pairs, rmat_uncertain
 from repro.utils.rng import RandomState, ensure_rng
@@ -50,42 +50,24 @@ def run_scalability_experiment(
     exact_prefix: int = 1,
     num_walks: int = 400,
     seed: RandomState = 43,
-    backend: str = "vectorized",
 ) -> List[ScalabilityResult]:
-    """Run E6: SR-TS / SR-SP execution time on R-MAT graphs of growing size.
-
-    ``backend`` selects the sampling engine for the Monte-Carlo stages (see
-    :mod:`repro.core.batch_walks`); pass ``"python"`` to time the scalar
-    reference implementation instead of the batch walk engine.
-    """
+    """Run E6: SR-TS / SR-SP execution time on R-MAT graphs of growing size."""
     generator = ensure_rng(seed)
     sr_ts = ScalabilityResult(algorithm="SR-TS")
     sr_sp = ScalabilityResult(algorithm="SR-SP")
     for num_edges in edge_counts:
         graph = rmat_uncertain(num_vertices, num_edges, rng=generator)
         pairs = random_vertex_pairs(graph, num_pairs, rng=generator)
-        cache = AlphaCache(graph)
-        filters = FilterVectors(graph, num_walks, generator)
-        filters_v = FilterVectors(graph, num_walks, generator)
+        engine = SimRankEngine(
+            graph, decay=decay, iterations=iterations, num_walks=num_walks,
+            exact_prefix=exact_prefix, seed=generator,
+        )
+        engine.caches.filter_pair(num_walks)  # the offline SR-SP build, untimed
         totals: Dict[str, float] = {"SR-TS": 0.0, "SR-SP": 0.0}
         for u, v in pairs:
-            _, elapsed = time_call(
-                two_phase_simrank,
-                graph, u, v,
-                decay=decay, iterations=iterations, exact_prefix=exact_prefix,
-                num_walks=num_walks, rng=generator, alpha_cache=cache,
-                backend=backend,
-            )
-            totals["SR-TS"] += elapsed
-            _, elapsed = time_call(
-                two_phase_simrank,
-                graph, u, v,
-                decay=decay, iterations=iterations, exact_prefix=exact_prefix,
-                num_walks=num_walks, rng=generator, use_speedup=True,
-                filters=filters, filters_v=filters_v, alpha_cache=cache,
-                backend=backend,
-            )
-            totals["SR-SP"] += elapsed
+            for method, key in (("two_phase", "SR-TS"), ("speedup", "SR-SP")):
+                _, elapsed = time_query(engine, u, v, method)
+                totals[key] += elapsed
         for series, key in ((sr_ts, "SR-TS"), (sr_sp, "SR-SP")):
             series.edge_counts.append(num_edges)
             series.realized_edges.append(graph.num_arcs)

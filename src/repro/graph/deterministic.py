@@ -130,7 +130,8 @@ class DeterministicGraph:
 
         Rows of vertices with out-degree zero are all zero: a random walk that
         reaches such a vertex stops, which is the dead-end convention shared
-        by all algorithms in this library (see DESIGN.md §5.3).
+        by all algorithms in this library (a truncated walk never meets
+        another, so dead ends add no SimRank mass rather than teleporting).
         """
         index = self.vertex_index(order)
         n = len(index)

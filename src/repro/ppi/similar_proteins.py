@@ -8,7 +8,8 @@ complex in the MIPS database.  Two rankings are compared:
 * **DSIM** — deterministic SimRank on the network with uncertainty removed.
 
 Here the MIPS ground truth is replaced by the complexes planted by the
-synthetic PPI generator (see DESIGN.md §4); the evaluation logic is otherwise
+synthetic PPI generator (:func:`repro.graph.generators.planted_partition_ppi`,
+since the MIPS database is not redistributable); the evaluation logic is otherwise
 identical: a ranking is better when more of its top pairs share a complex.
 """
 

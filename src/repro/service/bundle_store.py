@@ -9,9 +9,10 @@ whole-store invalidation keyed on the graph's mutation version.
 
 The store itself is agnostic about keys (any hashable works) and values
 (anything exposing ``nbytes``, i.e. numpy arrays).  The canonical key for a
-walk bundle is :func:`repro.core.batch_walks.bundle_key`, shared by
-:class:`~repro.core.batch_walks.WalkBundleCache` and the service layer's
-sharded sampler so that bundles prefilled by one are visible to the other.
+walk bundle is :func:`repro.core.batch_walks.bundle_key`, shared by the
+engine's :class:`~repro.core.executors.SerialWalkSource` and the service
+layer's sharded sampler so that bundles prefilled by one are visible to the
+other.
 
 All operations are thread-safe: the service's batch worker and any number of
 submitting threads may touch the store concurrently.

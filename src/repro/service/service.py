@@ -1150,7 +1150,7 @@ class SimilarityService:
             # Both top-k plan kinds route through the epoch-scoped index when
             # the tenant allows it, the snapshot can serve one, and the plan
             # covers enough of the graph to justify it; a ``None`` index
-            # (python backend, byte budget) degrades to the scan with
+            # (artifact over the byte budget) degrades to the scan with
             # identical answers.  The index lookup itself is per group, so
             # its build cost (a cache miss) is paid once per (method, walks).
             index: Optional[TopKIndex] = None
@@ -1331,7 +1331,7 @@ class SimilarityService:
         are bit-identical with or without the prefetch.
         """
         source = snapshot.walks
-        if source is None or snapshot.backend != "vectorized":
+        if source is None:
             return snapshot
         sampled_tail = snapshot.exact_prefix < snapshot.iterations
         csr = snapshot.csr

@@ -14,8 +14,8 @@ shards over a worker pool.  Reproducibility is the whole design:
 
 Together these make the sampled bundles **bit-identical** no matter how many
 workers run, which executor kind is used, or in what order shards complete —
-the sharded service is pinned against the single-process vectorized backend
-by ``tests/test_service.py``.  ``shard_size`` *is* part of the scheme (it
+the sharded service is pinned against the single-process engine by
+``tests/test_service.py``.  ``shard_size`` *is* part of the scheme (it
 decides which world keys exist), so changing it changes the sampled walks;
 ``num_workers`` and ``executor`` never do.
 

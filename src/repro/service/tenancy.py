@@ -499,7 +499,6 @@ class GraphTenant:
             iterations=self.engine.iterations,
             num_walks=self.engine.num_walks,
             exact_prefix=self.engine.exact_prefix,
-            backend=self.engine.backend,
             walks=PooledWalkSource(self.sampler, view),
         )
         self.epochs.publish(snapshot)

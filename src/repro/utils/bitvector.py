@@ -22,6 +22,15 @@ def popcount(value: int) -> int:
     return value.bit_count()
 
 
+def popcount_words(words: np.ndarray) -> np.ndarray:
+    """Element-wise set-bit counts of an unsigned integer array.
+
+    The array form of :func:`popcount`, used wherever bits are packed into
+    uint64 words (SR-SP counting tables, top-k sketch lanes).
+    """
+    return np.bitwise_count(words)
+
+
 class BitVector:
     """An immutable vector of ``width`` bits backed by a Python integer.
 

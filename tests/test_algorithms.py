@@ -16,23 +16,22 @@ from repro.core.baseline import (
     baseline_simrank,
     baseline_simrank_all_pairs,
 )
+from repro.core.engine import SimRankEngine, compute_simrank
 from repro.core.sampling import (
     estimate_meeting_probabilities,
     required_sample_size,
     sample_walk,
     sample_walks,
-    sampling_simrank,
 )
 from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.speedup import (
     FilterVectors,
     meeting_probabilities_from_tables,
+    packed_meeting_probabilities,
     propagate_counting_tables,
-    speedup_meeting_probabilities,
-    speedup_simrank,
+    propagate_packed_tables,
 )
 from repro.core.transition import exact_transition_matrices_by_enumeration
-from repro.core.two_phase import two_phase_meeting_probabilities, two_phase_simrank
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.errors import InvalidParameterError
 
@@ -132,23 +131,27 @@ class TestSampling:
 
     def test_converges_to_baseline(self, paper_graph):
         exact = baseline_simrank(paper_graph, "v1", "v2", decay=0.6, iterations=4).score
-        estimate = sampling_simrank(
-            paper_graph, "v1", "v2", decay=0.6, iterations=4, num_walks=6000, rng=7
+        estimate = compute_simrank(
+            paper_graph, "v1", "v2", method="sampling", decay=0.6, iterations=4,
+            num_walks=6000, seed=7,
         ).score
         assert estimate == pytest.approx(exact, abs=0.02)
 
     def test_reproducible_with_seed(self, paper_graph):
-        first = sampling_simrank(paper_graph, "v1", "v2", num_walks=200, rng=3).score
-        second = sampling_simrank(paper_graph, "v1", "v2", num_walks=200, rng=3).score
-        assert first == second
+        first = compute_simrank(paper_graph, "v1", "v2", method="sampling", num_walks=200, seed=3)
+        second = compute_simrank(paper_graph, "v1", "v2", method="sampling", num_walks=200, seed=3)
+        assert first.score == second.score
 
     def test_invalid_num_walks(self, paper_graph):
         with pytest.raises(InvalidParameterError):
-            sampling_simrank(paper_graph, "v1", "v2", num_walks=0)
+            compute_simrank(paper_graph, "v1", "v2", method="sampling", num_walks=0)
+        engine = SimRankEngine(paper_graph, seed=1)
+        with pytest.raises(InvalidParameterError):
+            engine.similarity("v1", "v2", method="sampling", num_walks=0)
 
     def test_unknown_vertex_rejected(self, paper_graph):
         with pytest.raises(InvalidParameterError):
-            sampling_simrank(paper_graph, "v1", "nope")
+            compute_simrank(paper_graph, "v1", "nope", method="sampling")
 
 
 class TestSpeedup:
@@ -202,9 +205,10 @@ class TestSpeedup:
 
     def test_meeting_probabilities_close_to_exact(self, paper_graph):
         exact = baseline_meeting_probabilities(paper_graph, "v1", "v2", 4)
-        estimated = speedup_meeting_probabilities(
-            paper_graph, "v1", "v2", 4, num_processes=6000, rng=11
-        )
+        estimated = compute_simrank(
+            paper_graph, "v1", "v2", method="speedup", iterations=4,
+            num_walks=6000, exact_prefix=0, seed=11,
+        ).meeting_probabilities
         assert estimated[0] == exact[0]
         for exact_value, estimate in zip(exact[1:], estimated[1:]):
             assert estimate == pytest.approx(exact_value, abs=0.03)
@@ -214,75 +218,95 @@ class TestSpeedup:
             meeting_probabilities_from_tables([{}], [{}, {}], 4, "u", "v")
 
     def test_speedup_simrank_close_to_baseline(self, paper_graph):
+        """The all-sampled SR-SP estimator (Fig. 5) is ``exact_prefix=0``."""
         exact = baseline_simrank(paper_graph, "v1", "v2", iterations=4).score
-        estimate = speedup_simrank(
-            paper_graph, "v1", "v2", iterations=4, num_processes=6000, rng=13
+        estimate = compute_simrank(
+            paper_graph, "v1", "v2", method="speedup", iterations=4,
+            num_walks=6000, exact_prefix=0, seed=13,
         ).score
         assert estimate == pytest.approx(exact, abs=0.02)
 
     def test_shared_filters_mode_runs(self, paper_graph):
-        result = speedup_simrank(
-            paper_graph, "v1", "v2", iterations=3, num_processes=500, rng=17, shared_filters=True
+        """``shared_filters=True`` propagates both endpoints on one filter set."""
+        engine = SimRankEngine(paper_graph, iterations=3, num_walks=500, seed=17)
+        result = engine.similarity(
+            "v1", "v2", method="speedup", exact_prefix=0, shared_filters=True
         )
         assert 0.0 <= result.score <= 1.0
-        assert result.details["shared_filters"] is True
+        expected = packed_meeting_probabilities(
+            propagate_packed_tables("v1", 3, engine.filters),
+            propagate_packed_tables("v2", 3, engine.filters),
+            500, "v1", "v2",
+        )
+        assert list(result.meeting_probabilities) == expected
 
     def test_prebuilt_filters_reused(self, paper_graph):
+        engine = SimRankEngine(paper_graph, iterations=3, num_walks=300, seed=19)
         filters = FilterVectors(paper_graph, 300, rng=19)
-        result = speedup_simrank(paper_graph, "v1", "v2", iterations=3, filters=filters, rng=19)
-        assert result.details["num_processes"] == 300
+        result = engine.similarity(
+            "v1", "v2", method="speedup", exact_prefix=0, filters=filters
+        )
+        assert result.details["num_walks"] == 300
+        expected = packed_meeting_probabilities(
+            propagate_packed_tables("v1", 3, filters),
+            propagate_packed_tables("v2", 3, engine.filters_v),
+            300, "v1", "v2",
+        )
+        assert list(result.meeting_probabilities) == expected
 
 
 class TestTwoPhase:
     def test_exact_prefix_matches_baseline(self, paper_graph):
         exact = baseline_meeting_probabilities(paper_graph, "v1", "v2", 2)
-        meeting = two_phase_meeting_probabilities(
-            paper_graph, "v1", "v2", iterations=5, exact_prefix=2, num_walks=50, rng=1
-        )
+        meeting = compute_simrank(
+            paper_graph, "v1", "v2", method="two_phase", iterations=5,
+            exact_prefix=2, num_walks=50, seed=1,
+        ).meeting_probabilities
         assert meeting[:3] == pytest.approx(exact)
         assert len(meeting) == 6
 
     def test_full_exact_prefix_equals_baseline(self, paper_graph):
-        result = two_phase_simrank(
-            paper_graph, "v1", "v2", iterations=4, exact_prefix=4, num_walks=10, rng=2
+        result = compute_simrank(
+            paper_graph, "v1", "v2", method="two_phase", iterations=4,
+            exact_prefix=4, num_walks=10, seed=2,
         )
         baseline = baseline_simrank(paper_graph, "v1", "v2", iterations=4)
         assert result.score == pytest.approx(baseline.score, abs=1e-12)
 
     def test_invalid_prefix_rejected(self, paper_graph):
         with pytest.raises(InvalidParameterError):
-            two_phase_simrank(paper_graph, "v1", "v2", iterations=3, exact_prefix=4)
+            compute_simrank(
+                paper_graph, "v1", "v2", method="two_phase", iterations=3, exact_prefix=4
+            )
+        engine = SimRankEngine(paper_graph, iterations=3, seed=1)
+        with pytest.raises(InvalidParameterError):
+            engine.similarity("v1", "v2", method="two_phase", exact_prefix=4)
 
     def test_close_to_baseline_with_sampling_tail(self, paper_graph):
         exact = baseline_simrank(paper_graph, "v1", "v2", iterations=4).score
-        estimate = two_phase_simrank(
-            paper_graph, "v1", "v2", iterations=4, exact_prefix=1, num_walks=4000, rng=5
+        estimate = compute_simrank(
+            paper_graph, "v1", "v2", method="two_phase", iterations=4,
+            exact_prefix=1, num_walks=4000, seed=5,
         ).score
         assert estimate == pytest.approx(exact, abs=0.02)
 
     def test_speedup_tail(self, paper_graph):
         exact = baseline_simrank(paper_graph, "v1", "v2", iterations=4).score
-        estimate = two_phase_simrank(
-            paper_graph,
-            "v1",
-            "v2",
-            iterations=4,
-            exact_prefix=1,
-            num_walks=4000,
-            rng=7,
-            use_speedup=True,
+        estimate = compute_simrank(
+            paper_graph, "v1", "v2", method="speedup", iterations=4,
+            exact_prefix=1, num_walks=4000, seed=7,
         ).score
         assert estimate == pytest.approx(exact, abs=0.02)
 
     def test_method_label(self, paper_graph):
-        ts = two_phase_simrank(paper_graph, "v1", "v2", num_walks=50, rng=1)
-        sp = two_phase_simrank(paper_graph, "v1", "v2", num_walks=50, rng=1, use_speedup=True)
-        assert ts.method == "two_phase"
-        assert sp.method == "speedup"
+        ts = compute_simrank(paper_graph, "v1", "v2", method="two_phase", num_walks=50, seed=1)
+        sp = compute_simrank(paper_graph, "v1", "v2", method="speedup", num_walks=50, seed=1)
+        assert ts.method == "two_phase" and ts.details["use_speedup"] is False
+        assert sp.method == "speedup" and sp.details["use_speedup"] is True
 
     def test_unknown_vertex_rejected(self, paper_graph):
         with pytest.raises(InvalidParameterError):
-            two_phase_simrank(paper_graph, "v1", "nope")
+            compute_simrank(paper_graph, "v1", "nope", method="two_phase")
 
     def test_two_phase_error_smaller_than_sampling_on_average(self, paper_graph):
         """Averaged over repetitions, SR-TS (l=2) should beat plain Sampling —
@@ -291,25 +315,13 @@ class TestTwoPhase:
         rng = np.random.default_rng(23)
         sampling_errors, two_phase_errors = [], []
         for _ in range(12):
+            engine = SimRankEngine(paper_graph, iterations=4, num_walks=300, seed=rng)
             sampling_errors.append(
-                abs(
-                    sampling_simrank(
-                        paper_graph, "v2", "v4", iterations=4, num_walks=300, rng=rng
-                    ).score
-                    - exact
-                )
+                abs(engine.similarity("v2", "v4", method="sampling").score - exact)
             )
             two_phase_errors.append(
                 abs(
-                    two_phase_simrank(
-                        paper_graph,
-                        "v2",
-                        "v4",
-                        iterations=4,
-                        exact_prefix=2,
-                        num_walks=300,
-                        rng=rng,
-                    ).score
+                    engine.similarity("v2", "v4", method="two_phase", exact_prefix=2).score
                     - exact
                 )
             )
@@ -319,8 +331,9 @@ class TestTwoPhase:
 class TestTwoPhaseEdgeCases:
     def test_zero_exact_prefix_is_pure_sampling(self, paper_graph):
         """l = 0 must work: only m(0) is exact, everything else is sampled."""
-        result = two_phase_simrank(
-            paper_graph, "v1", "v2", iterations=3, exact_prefix=0, num_walks=200, rng=3
+        result = compute_simrank(
+            paper_graph, "v1", "v2", method="two_phase", iterations=3,
+            exact_prefix=0, num_walks=200, seed=3,
         )
         assert 0.0 <= result.score <= 1.0
         assert result.meeting_probabilities[0] == 0.0
@@ -329,21 +342,20 @@ class TestTwoPhaseEdgeCases:
         """Passing two offline filter sets keeps the endpoint bundles independent."""
         filters_u = FilterVectors(paper_graph, 400, rng=21)
         filters_v = FilterVectors(paper_graph, 400, rng=22)
-        result = two_phase_simrank(
-            paper_graph, "v1", "v2", iterations=3, exact_prefix=1,
-            num_walks=400, rng=23, use_speedup=True,
+        result = compute_simrank(
+            paper_graph, "v1", "v2", method="speedup", iterations=3,
+            exact_prefix=1, num_walks=400, seed=23,
             filters=filters_u, filters_v=filters_v,
         )
         assert 0.0 <= result.score <= 1.0
 
     def test_mismatched_filter_widths_rejected(self, paper_graph):
-        from repro.core.speedup import speedup_meeting_probabilities
-
         filters_u = FilterVectors(paper_graph, 64, rng=1)
         filters_v = FilterVectors(paper_graph, 32, rng=2)
         with pytest.raises(InvalidParameterError):
-            speedup_meeting_probabilities(
-                paper_graph, "v1", "v2", 2, filters=filters_u, filters_v=filters_v
+            compute_simrank(
+                paper_graph, "v1", "v2", method="speedup", iterations=2, seed=1,
+                filters=filters_u, filters_v=filters_v,
             )
 
     def test_baseline_meeting_probabilities_zero_steps(self, paper_graph):

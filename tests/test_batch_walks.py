@@ -1,9 +1,11 @@
-"""Cross-validation of the vectorized batch walk engine against the scalar sampler.
+"""Cross-validation of the keyed batch walk sampler against the scalar oracle.
 
-The vectorized backend must reproduce the scalar reference semantics: walks
-follow existing arcs, truncate at dead ends of the sampled possible world,
-and the meeting-probability estimator agrees with the scalar one (and with
-the exact Baseline values) within Monte-Carlo tolerance.
+The keyed sampler behind every executor must reproduce the semantics of the
+scalar :func:`~repro.core.sampling.sample_walk`: walks follow existing arcs,
+truncate at dead ends of the sampled possible world, and the engine's
+meeting-probability estimates agree with the scalar estimator (and with the
+exact Baseline values) within Monte-Carlo tolerance.  The SR-SP packed
+propagation must match the per-vertex counting tables exactly.
 """
 
 from __future__ import annotations
@@ -14,37 +16,60 @@ import pytest
 from repro.core.baseline import baseline_meeting_probabilities, baseline_simrank
 from repro.core.batch_walks import (
     NO_VERTEX,
-    WalkBundleCache,
-    batch_meeting_probabilities,
     meeting_probabilities_from_matrices,
-    sample_walk_matrix,
-    validate_backend,
-    walk_matrix_from_graph,
+    sample_walk_matrix_keyed,
 )
+from repro.core.engine import SimRankEngine, compute_simrank
 from repro.core.sampling import (
+    estimate_meeting_probabilities,
     sample_walk,
-    sampling_meeting_probabilities,
-    sampling_simrank,
+    sample_walks,
 )
-from repro.core.speedup import FilterVectors, speedup_meeting_probabilities
+from repro.core.simrank import simrank_from_meeting_probabilities
+from repro.core.speedup import (
+    FilterVectors,
+    meeting_probabilities_from_tables,
+    packed_meeting_probabilities,
+    propagate_counting_tables,
+    propagate_packed_tables,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.service.bundle_store import WalkBundleStore
 from repro.utils.errors import InvalidParameterError
 
 #: Monte-Carlo tolerance for two independent estimates at the sample sizes below.
 MC_TOLERANCE = 0.05
 
 
+def keyed_walks(
+    graph: UncertainGraph, source, length: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` keyed walks from ``source`` under random world keys."""
+    csr = CSRGraph.from_uncertain(graph)
+    sources = np.full(count, csr.index_of(source), dtype=np.int64)
+    keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+    return sample_walk_matrix_keyed(csr, sources, length, keys)
+
+
+def scalar_meetings(graph, u, v, iterations, num_walks, seed):
+    """The scalar oracle: independent walk bundles, then Eq. 13."""
+    generator = np.random.default_rng(seed)
+    walks_u = sample_walks(graph, u, iterations, num_walks, generator)
+    walks_v = sample_walks(graph, v, iterations, num_walks, generator)
+    return estimate_meeting_probabilities(walks_u, walks_v, iterations, u, v)
+
+
 class TestWalkMatrix:
     def test_shape_and_source_column(self, paper_graph, rng):
-        walks = walk_matrix_from_graph(paper_graph, "v1", 5, 40, rng)
+        walks = keyed_walks(paper_graph, "v1", 5, 40, rng)
         csr = CSRGraph.from_uncertain(paper_graph)
         assert walks.shape == (40, 6)
         assert (walks[:, 0] == csr.index_of("v1")).all()
 
     def test_walks_follow_arcs(self, paper_graph, rng):
         csr = CSRGraph.from_uncertain(paper_graph)
-        walks = sample_walk_matrix(csr, csr.index_of("v2"), 4, 200, rng)
+        walks = keyed_walks(paper_graph, "v2", 4, 200, rng)
         for row in walks:
             for k in range(4):
                 if row[k + 1] == NO_VERTEX:
@@ -54,30 +79,29 @@ class TestWalkMatrix:
                 assert paper_graph.has_arc(u, v)
 
     def test_truncation_is_monotone(self, paper_graph, rng):
-        walks = walk_matrix_from_graph(paper_graph, "v3", 6, 300, rng)
+        walks = keyed_walks(paper_graph, "v3", 6, 300, rng)
         for row in walks:
             dead = np.flatnonzero(row == NO_VERTEX)
             if dead.size:
                 assert (row[dead[0] :] == NO_VERTEX).all()
 
     def test_certain_graph_never_truncates(self, certain_graph, rng):
-        walks = walk_matrix_from_graph(certain_graph, "a", 6, 100, rng)
+        walks = keyed_walks(certain_graph, "a", 6, 100, rng)
         assert (walks != NO_VERTEX).all()
 
     def test_zero_length(self, paper_graph, rng):
-        walks = walk_matrix_from_graph(paper_graph, "v1", 0, 7, rng)
+        walks = keyed_walks(paper_graph, "v1", 0, 7, rng)
         assert walks.shape == (7, 1)
 
-    def test_invalid_inputs(self, paper_graph, rng):
+    def test_invalid_inputs(self, paper_graph):
         csr = CSRGraph.from_uncertain(paper_graph)
+        keys = np.arange(5, dtype=np.uint64)
         with pytest.raises(InvalidParameterError):
-            sample_walk_matrix(csr, -1, 3, 5, rng)
+            sample_walk_matrix_keyed(csr, np.full(5, -1), 3, keys)
         with pytest.raises(InvalidParameterError):
-            sample_walk_matrix(csr, 0, -1, 5, rng)
+            sample_walk_matrix_keyed(csr, np.zeros(5, dtype=np.int64), -1, keys)
         with pytest.raises(InvalidParameterError):
-            sample_walk_matrix(csr, 0, 3, -1, rng)
-        with pytest.raises(InvalidParameterError):
-            validate_backend("fortran")
+            sample_walk_matrix_keyed(csr, np.zeros(4, dtype=np.int64), 3, keys)
 
 
 class TestDeadEndTruncation:
@@ -87,7 +111,7 @@ class TestDeadEndTruncation:
         graph.add_arc("a", "b", 1.0)
         graph.add_arc("b", "c", 1.0)
         csr = CSRGraph.from_uncertain(graph)
-        walks = sample_walk_matrix(csr, csr.index_of("a"), 5, 50, rng)
+        walks = keyed_walks(graph, "a", 5, 50, rng)
         scalar = [sample_walk(graph, "a", 5, rng) for _ in range(50)]
         expected = [csr.index_of(v) for v in ("a", "b", "c")] + [NO_VERTEX] * 3
         assert (walks == np.array(expected)).all()
@@ -100,66 +124,89 @@ class TestDeadEndTruncation:
         graph.add_arc("b", "c", 0.5)
         graph.add_arc("c", "a", 0.5)
         count, steps = 4000, 3
-        walks = walk_matrix_from_graph(graph, "a", steps, count, rng)
-        vector_survival = (walks != NO_VERTEX).mean(axis=0)
+        walks = keyed_walks(graph, "a", steps, count, rng)
+        keyed_survival = (walks != NO_VERTEX).mean(axis=0)
         scalar_lengths = np.array(
             [len(sample_walk(graph, "a", steps, rng)) for _ in range(count)]
         )
         for k in range(steps + 1):
             scalar_survival = (scalar_lengths > k).mean()
-            assert vector_survival[k] == pytest.approx(scalar_survival, abs=MC_TOLERANCE)
+            assert keyed_survival[k] == pytest.approx(scalar_survival, abs=MC_TOLERANCE)
 
 
 class TestCrossValidation:
     def test_meeting_probabilities_match_scalar(self, paper_graph):
-        vectorized = sampling_meeting_probabilities(
-            paper_graph, "v1", "v2", 4, num_walks=4000, rng=7
-        )
-        scalar = sampling_meeting_probabilities(
-            paper_graph, "v1", "v2", 4, num_walks=4000, rng=7, backend="python"
-        )
-        assert vectorized[0] == scalar[0] == 0.0
-        for vec_value, scalar_value in zip(vectorized[1:], scalar[1:]):
-            assert vec_value == pytest.approx(scalar_value, abs=MC_TOLERANCE)
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=4000, seed=7)
+        keyed = engine.similarity("v1", "v2", method="sampling").meeting_probabilities
+        scalar = scalar_meetings(paper_graph, "v1", "v2", 4, 4000, seed=7)
+        assert keyed[0] == scalar[0] == 0.0
+        for keyed_value, scalar_value in zip(keyed[1:], scalar[1:]):
+            assert keyed_value == pytest.approx(scalar_value, abs=MC_TOLERANCE)
 
     def test_meeting_probabilities_match_exact(self, paper_graph):
         exact = baseline_meeting_probabilities(paper_graph, "v2", "v4", 4)
-        estimated = batch_meeting_probabilities(paper_graph, "v2", "v4", 4, 6000, rng=3)
+        estimated = compute_simrank(
+            paper_graph, "v2", "v4", method="sampling", iterations=4,
+            num_walks=6000, seed=3,
+        ).meeting_probabilities
         for exact_value, estimate in zip(exact, estimated):
             assert estimate == pytest.approx(exact_value, abs=0.03)
 
     def test_simrank_score_matches_scalar_backend(self, paper_graph):
+        """The engine and the scalar oracle both land on the exact score."""
         exact = baseline_simrank(paper_graph, "v1", "v2", iterations=4).score
-        vectorized = sampling_simrank(
-            paper_graph, "v1", "v2", iterations=4, num_walks=6000, rng=11
+        keyed = compute_simrank(
+            paper_graph, "v1", "v2", method="sampling", iterations=4,
+            num_walks=6000, seed=11,
         ).score
-        scalar = sampling_simrank(
-            paper_graph, "v1", "v2", iterations=4, num_walks=6000, rng=11, backend="python"
-        ).score
-        assert vectorized == pytest.approx(exact, abs=0.02)
+        scalar = simrank_from_meeting_probabilities(
+            scalar_meetings(paper_graph, "v1", "v2", 4, 6000, seed=11), 0.6
+        )
+        assert keyed == pytest.approx(exact, abs=0.02)
         assert scalar == pytest.approx(exact, abs=0.02)
 
     def test_same_endpoint_meets_at_step_zero(self, paper_graph):
-        meeting = batch_meeting_probabilities(paper_graph, "v1", "v1", 3, 500, rng=5)
+        """A self-pair compares the bundle against its independent twin, so
+        m(k) matches the exact value instead of a bundle meeting itself."""
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=6000, seed=5)
+        meeting = engine.similarity("v1", "v1", method="sampling").meeting_probabilities
         assert meeting[0] == 1.0
+        exact = baseline_meeting_probabilities(paper_graph, "v1", "v1", 4)
+        scalar = scalar_meetings(paper_graph, "v1", "v1", 4, 6000, seed=5)
+        for exact_value, scalar_value, estimate in zip(exact[1:], scalar[1:], meeting[1:]):
+            assert estimate == pytest.approx(exact_value, abs=0.03)
+            assert estimate == pytest.approx(scalar_value, abs=MC_TOLERANCE)
 
     def test_vectorized_backend_is_reproducible(self, paper_graph):
-        first = sampling_simrank(paper_graph, "v1", "v2", num_walks=300, rng=3).score
-        second = sampling_simrank(paper_graph, "v1", "v2", num_walks=300, rng=3).score
-        assert first == second
+        """Equal seeds give bit-identical engine answers."""
+        first = compute_simrank(paper_graph, "v1", "v2", method="sampling", num_walks=300, seed=3)
+        second = compute_simrank(paper_graph, "v1", "v2", method="sampling", num_walks=300, seed=3)
+        assert first.score == second.score
+        assert first.meeting_probabilities == second.meeting_probabilities
 
     def test_speedup_backends_agree_exactly(self, paper_graph):
-        """Same filter bits, two propagation engines: identical estimates."""
+        """Same filter bits: packed propagation == per-vertex counting tables."""
         filters_u = FilterVectors(paper_graph, 700, rng=3)
         filters_v = FilterVectors(paper_graph, 700, rng=4)
-        vectorized = speedup_meeting_probabilities(
-            paper_graph, "v1", "v2", 4, filters=filters_u, filters_v=filters_v
+        packed_u = propagate_packed_tables("v1", 4, filters_u)
+        packed_v = propagate_packed_tables("v2", 4, filters_v)
+        tables_u = propagate_counting_tables(paper_graph, "v1", 4, filters_u)
+        tables_v = propagate_counting_tables(paper_graph, "v2", 4, filters_v)
+        csr = filters_u.csr
+        for packed, tables in ((packed_u, tables_u), (packed_v, tables_v)):
+            for step, table in enumerate(tables):
+                for position in range(csr.num_vertices):
+                    bits = int.from_bytes(packed[step, position].tobytes(), "little")
+                    vector = table.get(csr.vertex_at(position))
+                    assert bits == (0 if vector is None else vector.bits)
+        oracle = meeting_probabilities_from_tables(tables_u, tables_v, 700, "v1", "v2")
+        assert packed_meeting_probabilities(packed_u, packed_v, 700, "v1", "v2") == oracle
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=700, seed=1)
+        result = engine.similarity(
+            "v1", "v2", method="speedup", exact_prefix=0,
+            filters=filters_u, filters_v=filters_v,
         )
-        python = speedup_meeting_probabilities(
-            paper_graph, "v1", "v2", 4,
-            filters=filters_u, filters_v=filters_v, backend="python",
-        )
-        assert vectorized == python
+        assert list(result.meeting_probabilities) == oracle
 
 
 class TestMeetingFromMatrices:
@@ -182,31 +229,50 @@ class TestMeetingFromMatrices:
 
 
 class TestWalkBundleCache:
-    def test_bundles_sampled_once_per_endpoint(self, paper_graph, rng):
-        cache = WalkBundleCache(CSRGraph.from_uncertain(paper_graph), 4, 100, rng)
-        csr = cache.csr
-        first = cache.bundle(csr.index_of("v1"))
-        assert cache.bundle(csr.index_of("v1")) is first
-        cache.meeting_probabilities("v1", "v2")
-        assert cache.bundle(csr.index_of("v1")) is first
+    """The engine's walk-bundle cache: a keyed walk source over a store."""
+
+    @staticmethod
+    def bundle(engine: SimRankEngine, vertex, twin: bool = False) -> np.ndarray:
+        snapshot = engine.snapshot()
+        csr = snapshot.csr
+        need = (csr.index_of(vertex), twin, engine.num_walks)
+        return snapshot.walks.resolve(csr, engine.iterations, [need])[need]
+
+    def test_bundles_sampled_once_per_endpoint(self, paper_graph):
+        engine = SimRankEngine(
+            paper_graph, iterations=4, num_walks=100, seed=9,
+            bundle_store=WalkBundleStore(budget_bytes=None),
+        )
+        first = self.bundle(engine, "v1")
+        assert self.bundle(engine, "v1") is first
+        engine.similarity("v1", "v2", method="sampling")
+        assert self.bundle(engine, "v1") is first
 
     def test_meeting_probabilities_consistent_with_direct(self, paper_graph):
         exact = baseline_meeting_probabilities(paper_graph, "v1", "v2", 4)
-        cache = WalkBundleCache(CSRGraph.from_uncertain(paper_graph), 4, 6000, rng=9)
-        estimated = cache.meeting_probabilities("v1", "v2")
-        for exact_value, estimate in zip(exact, estimated):
+        engine = SimRankEngine(
+            paper_graph, iterations=4, num_walks=6000, seed=9,
+            bundle_store=WalkBundleStore(budget_bytes=None),
+        )
+        cached = engine.similarity("v1", "v2", method="sampling")
+        direct = compute_simrank(
+            paper_graph, "v1", "v2", method="sampling", iterations=4,
+            num_walks=6000, seed=9,
+        )
+        assert cached.meeting_probabilities == direct.meeting_probabilities
+        for exact_value, estimate in zip(exact, cached.meeting_probabilities):
             assert estimate == pytest.approx(exact_value, abs=0.03)
 
     def test_self_pair_uses_independent_bundles(self, paper_graph):
         """A (u, u) query must not compare a bundle against itself: the walks
         would be perfectly correlated and m(k) grossly inflated."""
         exact = baseline_meeting_probabilities(paper_graph, "v1", "v1", 4)
-        cache = WalkBundleCache(CSRGraph.from_uncertain(paper_graph), 4, 6000, rng=9)
-        estimated = cache.meeting_probabilities("v1", "v1")
+        engine = SimRankEngine(
+            paper_graph, iterations=4, num_walks=6000, seed=9,
+            bundle_store=WalkBundleStore(budget_bytes=None),
+        )
+        estimated = engine.similarity("v1", "v1", method="sampling").meeting_probabilities
         assert estimated[0] == 1.0
         for exact_value, estimate in zip(exact[1:], estimated[1:]):
             assert estimate == pytest.approx(exact_value, abs=0.03)
-        csr = cache.csr
-        assert cache.bundle(csr.index_of("v1")) is not cache.bundle(
-            csr.index_of("v1"), twin=True
-        )
+        assert self.bundle(engine, "v1") is not self.bundle(engine, "v1", twin=True)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.baseline import baseline_simrank
 from repro.core.engine import METHODS, SimRankEngine, compute_simrank
+from repro.core.sampling import estimate_meeting_probabilities, sample_walks
+from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.utils.errors import InvalidParameterError
 
@@ -69,26 +72,33 @@ class TestEngine:
         assert after.graph is engine.graph
 
     def test_backend_validation(self, paper_graph):
-        with pytest.raises(InvalidParameterError):
-            SimRankEngine(paper_graph, backend="magic")
+        """There is one estimator path: ``backend=`` is no longer an option."""
+        engine = SimRankEngine(paper_graph, num_walks=50, seed=1)
+        for method in METHODS:
+            with pytest.raises(InvalidParameterError, match="backend"):
+                engine.similarity("v1", "v2", method=method, backend="vectorized")
+        with pytest.raises(InvalidParameterError, match="backend"):
+            compute_simrank(paper_graph, "v1", "v2", method="sampling", backend="python")
+        with pytest.raises(TypeError):
+            SimRankEngine(paper_graph, backend="vectorized")
 
     def test_backends_statistically_consistent(self, paper_graph):
-        """Acceptance criterion: python and vectorized sampling estimates agree."""
+        """The engine's keyed sampler and the scalar oracle agree with the
+        exact score."""
         exact = baseline_simrank(paper_graph, "v1", "v2", iterations=4).score
-        for backend in ("python", "vectorized"):
-            engine = SimRankEngine(
-                paper_graph, iterations=4, num_walks=5000, seed=2, backend=backend
-            )
-            result = engine.similarity("v1", "v2", method="sampling")
-            assert result.details["backend"] == backend
-            assert result.score == pytest.approx(exact, abs=0.025)
-
-    def test_backend_forwarded_to_two_phase(self, paper_graph):
-        engine = SimRankEngine(paper_graph, num_walks=100, seed=9, backend="python")
-        result = engine.similarity("v1", "v2", method="two_phase")
-        assert result.details["backend"] == "python"
-        override = engine.similarity("v1", "v2", method="two_phase", backend="vectorized")
-        assert override.details["backend"] == "vectorized"
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=5000, seed=2)
+        assert engine.similarity("v1", "v2", method="sampling").score == pytest.approx(
+            exact, abs=0.025
+        )
+        generator = np.random.default_rng(2)
+        oracle = estimate_meeting_probabilities(
+            sample_walks(paper_graph, "v1", 4, 5000, generator),
+            sample_walks(paper_graph, "v2", 4, 5000, generator),
+            4, "v1", "v2",
+        )
+        assert simrank_from_meeting_probabilities(oracle, 0.6) == pytest.approx(
+            exact, abs=0.025
+        )
 
     def test_similarity_many(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=100, seed=7)
@@ -104,11 +114,6 @@ class TestEngine:
         for result in results:
             exact = baseline_simrank(paper_graph, result.u, result.v, iterations=4).score
             assert result.score == pytest.approx(exact, abs=0.025)
-
-    def test_similarity_many_python_backend_falls_back(self, paper_graph):
-        engine = SimRankEngine(paper_graph, num_walks=50, seed=7, backend="python")
-        results = engine.similarity_many([("v1", "v2"), ("v2", "v3")], method="sampling")
-        assert all("shared_bundles" not in r.details for r in results)
 
     def test_similarity_many_rejects_unknown_vertices(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=50, seed=7)

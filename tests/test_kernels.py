@@ -1,13 +1,14 @@
 """The kernel backend layer: resolution, bit-identity, and batched mixing.
 
 Every backend of :mod:`repro.core.kernels` must sample walk matrices
-bit-identical to the original ``_sample_walks_core`` step loop — the
-property the whole deterministic serving stack (sharding, epochs, bundle
-stores) rests on.  The suites here sweep chunk sizes, kernel names, and
-graph shapes chosen to drive the fused numpy kernel through both its dense
-fast path and its ragged path, and cross-validate the keyed scheme against
-the scalar ``backend="python"`` reference statistically.  The numba suite
-auto-skips when numba is not installed.
+bit-identical to the original unchunked step loop of
+:class:`~repro.core.kernels.ReferenceKernel` — the property the whole
+deterministic serving stack (sharding, epochs, bundle stores) rests on.  The
+suites here sweep chunk sizes, kernel names, and graph shapes chosen to
+drive the fused numpy kernel through both its dense fast path and its
+ragged path, and cross-validate the keyed scheme against the scalar
+:func:`~repro.core.sampling.sample_walks` oracle statistically.  The numba
+suite auto-skips when numba is not installed.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import pytest
 import repro.core.batch_walks as batch_walks
 from repro.core.batch_walks import (
     KEYED_CHUNK_MIN_ROWS,
-    _pick_uniforms,
-    _sample_walks_core,
     endpoint_world_keys,
     sample_walk_matrix_keyed,
     shard_world_keys,
 )
 from repro.core.engine import SimRankEngine
+from repro.core.sampling import estimate_meeting_probabilities, sample_walks
+from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.executors import PrefetchedWalkSource, SerialWalkSource
 from repro.core.kernels import (
     DENSE_MAX_COLS,
@@ -58,9 +59,8 @@ def reference_walks(
     csr: CSRGraph, sources: np.ndarray, length: int, keys: np.ndarray
 ) -> np.ndarray:
     """The unchunked original step loop — the ground truth of bit-identity."""
-    return _sample_walks_core(
-        csr, sources, length, keys,
-        lambda active, step: _pick_uniforms(keys[active], step),
+    return ReferenceKernel().sample(
+        csr, sources, length, keys, chunk_rows=max(1, sources.size)
     )
 
 
@@ -253,12 +253,17 @@ class TestBitIdentity:
             assert walks.shape == (0, 6)
 
     def test_scalar_python_backend_statistical_agreement(self, paper_graph):
-        """The keyed kernels agree with the scalar reference estimator."""
+        """The keyed kernels agree with the scalar oracle estimator."""
         keyed = SimRankEngine(paper_graph, seed=3, num_walks=4000, kernel="numpy")
-        scalar = SimRankEngine(paper_graph, seed=3, backend="python")
+        generator = np.random.default_rng(3)
         for u, v in [("v1", "v2"), ("v2", "v3")]:
             a = keyed.similarity(u, v, method="sampling").score
-            b = scalar.similarity(u, v, method="sampling", num_walks=4000).score
+            oracle = estimate_meeting_probabilities(
+                sample_walks(paper_graph, u, 5, 4000, generator),
+                sample_walks(paper_graph, v, 5, 4000, generator),
+                5, u, v,
+            )
+            b = simrank_from_meeting_probabilities(oracle, keyed.decay)
             assert a == pytest.approx(b, abs=MC_TOLERANCE)
 
 

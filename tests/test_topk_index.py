@@ -254,24 +254,6 @@ class TestPrunedIdentity:
             )
             assert pruned == scan
 
-    def test_python_backend_falls_back_to_scan(self):
-        """The python sampler is not the keyed estimator the sketches bound:
-        the index must decline and the helper must still answer correctly.
-        The python sampler consumes engine RNG state per call, so the
-        comparison uses two identically-seeded engines, not one engine."""
-        graph = _random_graph(3)
-        engines = [
-            SimRankEngine(graph, num_walks=60, seed=3, backend="python")
-            for _ in range(2)
-        ]
-        assert snapshot_index(engines[0].snapshot(), "sampling", num_walks=60) is None
-        query = graph.vertices()[0]
-        scan = top_k_similar_to(engines[0], query, 4, method="sampling")
-        fallback = top_k_similar_to(
-            engines[1], query, 4, method="sampling", use_index=True
-        )
-        assert fallback == scan
-
     def test_chunk_size_never_changes_pair_ranking(self):
         graph = _random_graph(10)
         engine = SimRankEngine(graph, num_walks=80, seed=10)

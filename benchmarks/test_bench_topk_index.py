@@ -5,6 +5,8 @@ R-MAT graph of the scalability sweep, a warm top-k-for-vertex query through
 the index must answer at least 10x faster than the chunked scan — with a
 ranking that is bit-identical to the scan's, both standalone and under
 sustained mutation ingest against a service answering at pinned epochs.
+A query from a walk sink (a vertex without out-arcs, whose every score is
+exactly 0) must rescore at most k candidates.
 
 Both sides run warm on the same engine (walk bundles sampled, index
 artifacts resident in the epoch-scoped store), isolating the bound-and-
@@ -20,6 +22,7 @@ import pytest
 from bench_config import BENCH_NUM_WALKS, LARGEST_SWEEP_GRAPH_SIZE, QUICK
 from repro.core.engine import SimRankEngine
 from repro.core.topk import top_k_similar_to
+from repro.core.topk_index import pruned_top_k_vertex, snapshot_index
 from repro.graph.generators import rmat_uncertain
 from repro.service import MutationLog, SimilarityService
 from repro.utils.rng import ensure_rng
@@ -79,6 +82,51 @@ def test_bench_topk_index_beats_scan(benchmark):
     assert store["hits"] > 0
     # The headline: the bound phase kills the quadratic scan.
     assert speedup >= MIN_SPEEDUP
+
+
+def test_bench_topk_index_sink_query(benchmark):
+    """A sink query rescores at most k candidates, answering like the scan.
+
+    Every candidate of a walk sink ties at exactly 0, so the tie order
+    alone decides the answer: the index rescores the k earliest candidates
+    and bounds none.  Scan and indexed wall times land in ``extra_info``.
+    """
+    num_vertices, num_edges = LARGEST_SWEEP_GRAPH_SIZE
+    graph = rmat_uncertain(num_vertices, num_edges, rng=ensure_rng(43))
+    sink = next(v for v in graph.vertices() if not graph.out_neighbors(v))
+    candidates = [v for v in graph.vertices() if v != sink]
+    engine = SimRankEngine(graph, num_walks=BENCH_NUM_WALKS, seed=43)
+    k = 10
+
+    # Warm both sides: bundles sampled, index artifacts in the store.
+    top_k_similar_to(engine, sink, k, method=METHOD, use_index=True)
+    top_k_similar_to(engine, sink, k, method=METHOD)
+
+    def compare():
+        scanned, scan_s = time_call(
+            lambda: top_k_similar_to(engine, sink, k, method=METHOD)
+        )
+        pruned, indexed_s = time_call(
+            lambda: top_k_similar_to(engine, sink, k, method=METHOD, use_index=True)
+        )
+        return scanned, pruned, scan_s, indexed_s
+
+    scanned, pruned, scan_s, indexed_s = benchmark.pedantic(
+        compare, rounds=1, iterations=1
+    )
+    index = snapshot_index(engine.snapshot(), METHOD)
+    _, stats = pruned_top_k_vertex(
+        engine.batch_executor(METHOD), index, sink, candidates, k
+    )
+    benchmark.extra_info["scan_ms"] = 1000.0 * scan_s
+    benchmark.extra_info["indexed_ms"] = 1000.0 * indexed_s
+    benchmark.extra_info["candidates_total"] = stats.candidates_total
+    benchmark.extra_info["candidates_rescored"] = stats.candidates_rescored
+
+    assert pruned == scanned
+    assert [score for _, score in pruned] == [0.0] * k
+    assert stats.candidates_total == len(candidates)
+    assert stats.candidates_rescored <= k
 
 
 def test_topk_index_identity_under_sustained_ingest():

@@ -28,7 +28,6 @@ answer-neutral.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import List, Sequence
 
@@ -71,20 +70,6 @@ KEYED_CHUNK_MAX_ROWS = 8192
 #: entries across ~6 temporaries — so the cache-resident chunk size is an
 #: *arc* budget, not a row count.
 KEYED_CHUNK_TARGET_ARCS = 8192
-
-def __getattr__(name: str):
-    # Deprecated module attributes, resolved lazily so ordinary imports pay
-    # nothing and touching one warns exactly once per call site.
-    if name == "KEYED_CHUNK_ROWS":
-        warnings.warn(
-            "KEYED_CHUNK_ROWS (the old fixed chunk size) is deprecated; use "
-            "keyed_chunk_rows() for the workload-shaped heuristic or "
-            "KEYED_CHUNK_MIN_ROWS for its floor",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return KEYED_CHUNK_MIN_ROWS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def keyed_chunk_rows(length: int, avg_out_degree: float) -> int:

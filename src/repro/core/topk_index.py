@@ -16,6 +16,18 @@ below the k-th best *exact* score — and ties are rescored — the pruned
 ranking is bit-identical to the full scan under the
 :func:`~repro.core.topk.rank_top_k` tie-breaking rule.
 
+Walk sinks
+----------
+
+A walk stops at a vertex with no instantiated out-arc, so for ``u != v``
+where ``u`` or ``v`` has no out-arc of positive probability (a *sink*) every
+``m(k)`` is 0 and the score is exactly ``0.0`` under all four methods.  A
+bound cannot prune these ties (every bound carries :data:`BOUND_SLACK`),
+but the tie-breaking rule can: ties at ``0.0`` rank by candidate position,
+so of the certified-zero candidates only the ``k`` earliest can appear in
+the answer.  Those ``k`` are rescored like any other candidate (their
+results stay bit-identical); the rest are neither bounded nor rescored.
+
 Bound derivations
 -----------------
 
@@ -130,6 +142,19 @@ def survival_masses(csr) -> np.ndarray:
     survival = 1.0 - np.exp(row_log)
     survival[has_certain] = 1.0
     return np.minimum(survival + BOUND_SLACK, 1.0)
+
+
+def sink_mask(csr) -> np.ndarray:
+    """Per-vertex flag: the CSR row holds no arc with ``p > 0``.
+
+    Read from the structure, not from :func:`survival_masses`: survival
+    adds slack and underflows for tiny ``p``, while the keyed kernel still
+    takes such an arc (its threshold ``ceil(p·2^53)`` is at least 1).
+    """
+    positive = np.concatenate(
+        ([0], np.cumsum(np.asarray(csr.probs) > 0.0, dtype=np.int64))
+    )
+    return positive[csr.indptr[1:]] == positive[csr.indptr[:-1]]
 
 
 def one_step_arc_probabilities(csr, view, alpha_cache) -> np.ndarray:
@@ -336,9 +361,9 @@ class TopKIndexStore:
 class TopKIndex:
     """Per-snapshot bound oracle for one ``(method, num_walks, prefix)``.
 
-    A thin combiner over shared artifacts (survival masses, one-step arc
-    probabilities, walk sketches); construction is cheap, the artifacts are
-    cached in the snapshot's :class:`TopKIndexStore`.
+    A thin combiner over shared artifacts (sink mask, survival masses,
+    one-step arc probabilities, walk sketches); construction is cheap, the
+    artifacts are cached in the snapshot's :class:`TopKIndexStore`.
     """
 
     def __init__(
@@ -349,6 +374,7 @@ class TopKIndex:
         iterations: int,
         exact_prefix: int,
         survival: np.ndarray,
+        sinks: np.ndarray,
         sketches: Optional[VertexSketches] = None,
         alpha_probs: Optional[np.ndarray] = None,
         build_ms: float = 0.0,
@@ -360,6 +386,7 @@ class TopKIndex:
         self.iterations = iterations
         self.exact_prefix = exact_prefix
         self.survival = survival
+        self.sinks = sinks
         self.sketches = sketches
         self.alpha_probs = alpha_probs
         self.build_ms = build_ms
@@ -392,6 +419,15 @@ class TopKIndex:
     @property
     def num_walks(self) -> Optional[int]:
         return self.sketches.num_walks if self.sketches is not None else None
+
+    def certified_zero(self, u_indices, v_indices: np.ndarray) -> np.ndarray:
+        """Pairs whose score is exactly ``0.0``: distinct, one end a sink.
+
+        Self pairs are never certified — ``m(0) = 1`` for them.
+        """
+        return (u_indices != v_indices) & (
+            self.sinks[u_indices] | self.sinks[v_indices]
+        )
 
     def _one_step_row(self, query_index: int) -> np.ndarray:
         """Exact ``m(1)(query, v)`` for every vertex ``v``, one O(arcs) pass."""
@@ -490,6 +526,12 @@ def snapshot_index(
     build_ms += elapsed
     if survival is None:
         return None
+    sinks, elapsed = store.get_or_build(
+        ("sinks",), lambda: sink_mask(csr), lambda artifact: artifact.nbytes
+    )
+    build_ms += elapsed
+    if sinks is None:
+        return None
 
     sketches = None
     needs_sketch = method == "sampling" or (
@@ -529,6 +571,7 @@ def snapshot_index(
         iterations=iterations,
         exact_prefix=prefix,
         survival=survival,
+        sinks=sinks,
         sketches=sketches,
         alpha_probs=alpha_probs,
         build_ms=build_ms,
@@ -633,6 +676,35 @@ def pruned_rank(
     return [(-negated, results[-negated]) for _, negated in ranked], rescored
 
 
+def _sink_pruned_rank(
+    executor,
+    pairs: Sequence[Tuple[Vertex, Vertex]],
+    certified: np.ndarray,
+    bound: Callable[[np.ndarray], np.ndarray],
+    k: int,
+    overrides: Optional[Dict[str, object]],
+    obs,
+) -> Tuple[List[Tuple[int, object]], int]:
+    """:func:`pruned_rank` over the pairs the sink rule leaves open.
+
+    ``certified`` flags pairs scoring exactly ``0.0``.  Ties at ``0.0`` rank
+    by position, so only the ``k`` earliest certified pairs can reach the
+    answer: they join the uncertified ones with bound ``0.0`` (rescored
+    only if the k-th best score is itself 0), and ``bound(positions)`` is
+    evaluated for the uncertified positions alone.  Kept positions stay in
+    ascending order, so :func:`pruned_rank`'s tie order is the full one.
+    """
+    open_positions = np.flatnonzero(~certified)
+    kept = np.union1d(open_positions, np.flatnonzero(certified)[:k])
+    bounds = np.zeros(len(kept), dtype=float)
+    if len(open_positions):
+        bounds[~certified[kept]] = bound(open_positions)
+    ranked, rescored = pruned_rank(
+        executor, [pairs[p] for p in kept], bounds, k, overrides, obs=obs
+    )
+    return [(int(kept[position]), result) for position, result in ranked], rescored
+
+
 def pruned_top_k_vertex(
     executor,
     index: TopKIndex,
@@ -650,10 +722,16 @@ def pruned_top_k_vertex(
         dtype=np.int64,
         count=len(candidates),
     )
-    with obs.stage("index_bound", {"candidates": len(candidates)}):
-        bounds = index.bounds_for_vertex(query_index, candidate_indices)
+    certified = index.certified_zero(query_index, candidate_indices)
+
+    def bound(positions: np.ndarray) -> np.ndarray:
+        with obs.stage("index_bound", {"candidates": len(positions)}):
+            return index.bounds_for_vertex(query_index, candidate_indices[positions])
+
     pairs = [(query, candidate) for candidate in candidates]
-    ranked, rescored = pruned_rank(executor, pairs, bounds, k, overrides, obs=obs)
+    ranked, rescored = _sink_pruned_rank(
+        executor, pairs, certified, bound, k, overrides, obs
+    )
     stats = PruneStats(len(candidates), rescored, index.build_ms)
     return [(candidates[position], result) for position, result in ranked], stats
 
@@ -674,8 +752,14 @@ def pruned_top_k_pairs(
     v_indices = np.fromiter(
         (csr.index_of(v) for _, v in pairs), dtype=np.int64, count=len(pairs)
     )
-    with obs.stage("index_bound", {"candidates": len(pairs)}):
-        bounds = index.bounds_for_pairs(u_indices, v_indices)
-    ranked, rescored = pruned_rank(executor, pairs, bounds, k, overrides, obs=obs)
+    certified = index.certified_zero(u_indices, v_indices)
+
+    def bound(positions: np.ndarray) -> np.ndarray:
+        with obs.stage("index_bound", {"candidates": len(positions)}):
+            return index.bounds_for_pairs(u_indices[positions], v_indices[positions])
+
+    ranked, rescored = _sink_pruned_rank(
+        executor, pairs, certified, bound, k, overrides, obs
+    )
     stats = PruneStats(len(pairs), rescored, index.build_ms)
     return [(pairs[position], result) for position, result in ranked], stats

@@ -11,8 +11,10 @@ the stream reads like a serial program.
 Query requests (``method`` is optional, default ``"sampling"``; ``graph``
 is an optional tenant name, default the graph loaded at startup;
 ``num_walks`` optionally overrides the tenant's walk count for that query
-alone, subject to the tenant's ``max_num_walks`` admission cap; ``id`` is
-an optional opaque value echoed into the response)::
+alone, subject to the tenant's ``max_num_walks`` admission cap; ``k`` and
+``num_walks`` must be JSON integers — a bool, float or string is answered
+with an ``error`` line; ``id`` is an optional opaque value echoed into the
+response)::
 
     {"op": "pair", "u": "v1", "v": "v2"}
     {"op": "pair", "u": "v1", "v": "v2", "num_walks": 200}
@@ -129,13 +131,20 @@ def _require(record: dict, field: str):
         raise ValueError(f"missing required field {field!r}") from None
 
 
+def _integer(field: str, value):
+    """``value`` if it is a JSON integer; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_query(record: dict):
     op = record.get("op")
     method = record.get("method", "sampling")
     graph = record.get("graph")
     num_walks = record.get("num_walks")
     if num_walks is not None:
-        num_walks = int(num_walks)
+        num_walks = _integer("num_walks", num_walks)
     if op == "pair":
         accuracy = record.get("accuracy")
         return PairQuery(
@@ -150,7 +159,7 @@ def _parse_query(record: dict):
         candidates = record.get("candidates")
         return TopKVertexQuery(
             _require(record, "query"),
-            int(_require(record, "k")),
+            _integer("k", _require(record, "k")),
             tuple(candidates) if candidates is not None else None,
             method=method,
             graph=graph,
@@ -159,7 +168,7 @@ def _parse_query(record: dict):
     if op == "top_k_pairs":
         pairs = record.get("pairs")
         return TopKPairsQuery(
-            int(_require(record, "k")),
+            _integer("k", _require(record, "k")),
             tuple((u, v) for u, v in pairs) if pairs is not None else None,
             method=method,
             graph=graph,

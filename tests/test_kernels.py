@@ -388,11 +388,6 @@ class TestMemoizationAndDeprecation:
         assert np.array_equal(keys[:16], shard_world_keys(7, 3, False, 0, 16))
         assert np.array_equal(keys[32:], shard_world_keys(7, 3, False, 2, 8))
 
-    def test_keyed_chunk_rows_alias_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="KEYED_CHUNK_ROWS"):
-            value = batch_walks.KEYED_CHUNK_ROWS
-        assert value == KEYED_CHUNK_MIN_ROWS
-
     def test_unknown_module_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             batch_walks.NOT_A_REAL_NAME

@@ -504,6 +504,30 @@ class TestRunner:
         assert response["id"] == 42
         assert "missing required field 'v'" in response["error"]
 
+    def test_non_integer_k_and_num_walks_rejected(self):
+        """``k`` / ``num_walks`` are never coerced: "3", 2.5 and true are
+        refused with an error line, and the stream keeps serving."""
+        bad = ('"3"', "2.5", "true")
+        lines = [f'{{"op": "top_k", "query": "v1", "k": {value}, "id": 1}}' for value in bad]
+        lines += [f'{{"op": "top_k_pairs", "k": {value}}}' for value in bad]
+        lines += [
+            f'{{"op": "pair", "u": "v1", "v": "v2", "num_walks": {value}}}' for value in bad
+        ]
+        lines.append('{"op": "top_k", "query": "v1", "k": 2, "num_walks": 100}')
+        code, out, _ = self._run(lines)
+        assert code == 0
+        responses = [json.loads(line) for line in out.splitlines()]
+        assert len(responses) == len(lines)
+        for response in responses[:3]:
+            assert response["id"] == 1
+            assert "field 'k' must be an integer" in response["error"]
+        for response in responses[3:6]:
+            assert "field 'k' must be an integer" in response["error"]
+        for response in responses[6:9]:
+            assert "field 'num_walks' must be an integer" in response["error"]
+        assert "error" not in responses[-1]
+        assert len(responses[-1]["results"]) == 2
+
     def test_stats_flag(self):
         code, _, err = self._run(['{"op": "pair", "u": "v1", "v": "v2"}'], "--stats")
         assert code == 0

@@ -3,9 +3,10 @@
 The load-bearing properties, in order: (1) every bound really is an upper
 bound on the exact score its method computes, (2) index-pruned rankings are
 bit-identical to the chunked scan — same vertices, same scores, same tie
-order — across methods, graphs and adversarial tie cases, (3) the store
-honours its byte budget and the cache layers behave (LRU, over-budget
-refusal, fallback to the scan).
+order — across methods, graphs and adversarial tie cases, (3) walk-sink
+candidates are certified exact zeros and only the k earliest of them are
+rescored, (4) the store honours its byte budget and the cache layers behave
+(LRU, over-budget refusal, fallback to the scan).
 """
 
 from __future__ import annotations
@@ -18,14 +19,21 @@ from repro.core.engine import SimRankEngine
 from repro.core.executors import TransitionCache, executor_for
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.core.topk_index import (
+    BOUND_SLACK,
     TopKIndexStore,
     VertexSketches,
+    pruned_top_k_pairs,
+    pruned_top_k_vertex,
+    sink_mask,
     sketch_walk_matrices,
     snapshot_index,
     step_weights,
     survival_masses,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_uncertain
+from repro.graph.uncertain_graph import UncertainGraph
+from repro.service import MutationLog, SimilarityService
 from repro.utils.errors import InvalidParameterError
 
 METHODS = ("baseline", "sampling", "two_phase", "speedup")
@@ -269,6 +277,136 @@ class TestPrunedIdentity:
             )
         with pytest.raises(InvalidParameterError):
             top_k_similar_pairs(engine, 4, candidate_pairs=pairs, chunk_size=0)
+
+
+def _sink_graph(seed: int = 3):
+    """A sparse R-MAT graph: about a third of its vertices are walk sinks."""
+    return rmat_uncertain(40, 80, rng=np.random.default_rng(seed))
+
+
+def _sinks_and_live(graph):
+    frozen = CSRGraph.from_uncertain(graph)
+    mask = sink_mask(frozen)
+    sinks = [frozen.vertex_at(int(i)) for i in np.flatnonzero(mask)]
+    live = [frozen.vertex_at(int(i)) for i in np.flatnonzero(~mask)]
+    assert len(sinks) >= 5 and len(live) >= 5
+    return sinks, live
+
+
+class TestSinkRule:
+    """Pairs with a sink endpoint score exactly 0.0; the index ranks them by
+    position instead of bounding and rescoring every one of them."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_certified_pairs_score_exactly_zero(self, method):
+        graph = _sink_graph()
+        engine = SimRankEngine(graph, num_walks=100, seed=3)
+        sinks, live = _sinks_and_live(graph)
+        pairs = [(s, v) for s in sinks for v in live[:4]]
+        pairs += [(v, s) for s in sinks for v in live[:4]]
+        pairs += [(sinks[0], sinks[1])]
+        results = engine.batch_executor(method).run_batch(pairs, {})
+        assert [result.score for result in results] == [0.0] * len(pairs)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sink_query_rescores_only_k(self, method):
+        graph = _sink_graph()
+        engine = SimRankEngine(graph, num_walks=100, seed=3)
+        sinks, _ = _sinks_and_live(graph)
+        index = snapshot_index(engine.snapshot(), method)
+        executor = engine.batch_executor(method)
+        for query in sinks[:3]:
+            candidates = [v for v in graph.vertices() if v != query]
+            for k in (1, 4, len(candidates) + 5):
+                scan = top_k_similar_to(engine, query, k, method=method)
+                assert top_k_similar_to(
+                    engine, query, k, method=method, use_index=True
+                ) == scan
+                ranked, stats = pruned_top_k_vertex(
+                    executor, index, query, candidates, k
+                )
+                assert [(v, r.score) for v, r in ranked] == scan
+                assert stats.candidates_total == len(candidates)
+                assert stats.candidates_rescored == min(k, len(candidates))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_live_query_skips_sink_candidates(self, method):
+        graph = _sink_graph()
+        engine = SimRankEngine(graph, num_walks=100, seed=3)
+        sinks, live = _sinks_and_live(graph)
+        index = snapshot_index(engine.snapshot(), method)
+        query, k = live[0], 3
+        candidates = [v for v in graph.vertices() if v != query]
+        ranked, stats = pruned_top_k_vertex(
+            engine.batch_executor(method), index, query, candidates, k
+        )
+        scan = top_k_similar_to(engine, query, k, method=method)
+        assert [(v, r.score) for v, r in ranked] == scan
+        # At most k of the sink candidates are ever rescored.
+        assert stats.candidates_rescored <= len(candidates) - len(sinks) + k
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pairs_with_sink_endpoints_match_scan(self, method):
+        graph = _sink_graph()
+        engine = SimRankEngine(graph, num_walks=100, seed=3)
+        sinks, live = _sinks_and_live(graph)
+        sink = sinks[0]
+        pairs = [(s, v) for s in sinks[:4] for v in live[:4]]
+        pairs += [(live[0], live[1]), (sink, sink), (live[2], sinks[1])]
+        pairs += [(live[i], live[j]) for i in range(4) for j in range(i + 1, 5)]
+        for k in (1, 3, len(pairs)):
+            scan = top_k_similar_pairs(engine, k, candidate_pairs=pairs, method=method)
+            pruned = top_k_similar_pairs(
+                engine, k, candidate_pairs=pairs, method=method, use_index=True
+            )
+            assert pruned == scan
+        scores = {(u, v): score for u, v, score in scan}
+        assert scores[sink, sink] > 0.0  # m(0) = 1: self pairs are never certified
+        index = snapshot_index(engine.snapshot(), method)
+        _, stats = pruned_top_k_pairs(
+            engine.batch_executor(method), index, pairs, 1
+        )
+        assert stats.candidates_total == len(pairs)
+        assert stats.candidates_rescored <= len(pairs) - 17 + 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_vertex_losing_last_out_arc_becomes_sink(self, method):
+        sinks, live = _sinks_and_live(_sink_graph())
+        with SimilarityService(
+            _sink_graph(), num_walks=80, seed=3
+        ) as indexed, SimilarityService(
+            _sink_graph(), num_walks=80, seed=3, use_topk_index=False
+        ) as scanned:
+            graph = indexed.registry.get(indexed.default_graph).graph
+            query = live[0]
+            log = MutationLog()
+            for target in list(graph.out_arcs(query)):
+                log.remove_edge(query, target)
+            before = indexed.top_k_for_vertex(query, 3, method=method)
+            assert before == scanned.top_k_for_vertex(query, 3, method=method)
+            indexed.mutate(log)
+            scanned.mutate(log)
+            after = indexed.top_k_for_vertex(query, 3, method=method)
+            assert after == scanned.top_k_for_vertex(query, 3, method=method)
+            assert after.epoch > before.epoch
+            assert after.candidates_rescored == 3
+            assert [score for _, score in after] == [0.0, 0.0, 0.0]
+            other = live[-1] if live[-1] != query else live[-2]
+            assert indexed.top_k_for_vertex(
+                other, 4, method=method
+            ) == scanned.top_k_for_vertex(other, 4, method=method)
+
+    def test_tiny_probability_arc_is_not_a_sink(self):
+        graph = UncertainGraph(vertices=("sink",))
+        graph.add_arc("a", "b", 1e-300)
+        graph.add_arc("b", "a", 0.5)
+        frozen = CSRGraph.from_uncertain(graph)
+        mask = sink_mask(frozen)
+        assert not mask[frozen.index_of("a")]
+        assert not mask[frozen.index_of("b")]
+        assert mask[frozen.index_of("sink")]
+        # Survival underflows to its slack: it cannot tell "a" from a sink.
+        assert survival_masses(frozen)[frozen.index_of("a")] == BOUND_SLACK
 
 
 class TestIndexStore:

@@ -1,12 +1,12 @@
-"""Kernel-backend acceptance pins: fused numpy speedup + numba thread scaling.
+"""Keyed sweep kernel acceptance pins: fused speedup + bit-identity.
 
-The fused numpy kernel of :mod:`repro.core.kernels` must beat the reference
-step loop by ~2x single-threaded on the Fig. 12 sweep graphs while sampling
-bit-identical walk matrices; the optional numba kernel (exercised by the CI
-leg that installs numba) must additionally scale across threads.  The
-measured ratios land in ``extra_info`` — exported as ``BENCH_kernels.json``
-by the CI leg — and the assertions are noise-headroom floors below the
-expected values, following the other ratio benchmarks in this suite.
+The fused :class:`~repro.core.kernels.NumpyKernel` must beat the
+:class:`~repro.core.kernels.ReferenceKernel` step loop by ~2x
+single-threaded on the Fig. 12 sweep graphs while sampling bit-identical
+walk matrices.  The measured ratio lands in ``extra_info`` — exported as
+``BENCH_kernels.json`` by the CI bench job — and the assertion is a
+noise-headroom floor below the expected value, following the other ratio
+benchmarks in this suite.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch_walks import sample_walk_matrix_keyed
-from repro.core.kernels import available_kernels, resolve_kernel
+from repro.core.kernels import NumpyKernel, ReferenceKernel
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_uncertain
 
@@ -66,19 +65,14 @@ def test_bench_numpy_kernel_speedup(benchmark, sweep_csr, keyed_request):
     """
     sources, keys = keyed_request
 
-    def total(kernel: str) -> float:
+    def total(kernel) -> float:
         return sum(
-            best_of(
-                5,
-                lambda: sample_walk_matrix_keyed(
-                    sweep_csr, sources, length, keys, kernel=kernel
-                ),
-            )
+            best_of(5, lambda: kernel.sample(sweep_csr, sources, length, keys))
             for length in (ITERATIONS, LONG_WALK)
         )
 
     def compare() -> float:
-        return total("reference") / total("numpy")
+        return total(ReferenceKernel()) / total(NumpyKernel())
 
     ratio = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info["numpy_kernel_speedup"] = ratio
@@ -88,7 +82,7 @@ def test_bench_numpy_kernel_speedup(benchmark, sweep_csr, keyed_request):
 
 @pytest.mark.paper_artifact("kernel-bit-identity")
 def test_bench_kernels_bit_identical_at_bench_scale(sweep_csr, keyed_request):
-    """Every available backend samples the exact reference walk matrices.
+    """The fused kernel samples the exact reference walk matrices.
 
     Run at the benchmark scale (not the unit-test scale) so the chunked
     paths, the dense/ragged split, and the scratch reuse are all exercised
@@ -96,47 +90,6 @@ def test_bench_kernels_bit_identical_at_bench_scale(sweep_csr, keyed_request):
     """
     sources, keys = keyed_request
     for length in (ITERATIONS, LONG_WALK):
-        expected = sample_walk_matrix_keyed(
-            sweep_csr, sources, length, keys, kernel="reference"
-        )
-        for kernel in available_kernels():
-            got = sample_walk_matrix_keyed(
-                sweep_csr, sources, length, keys, kernel=kernel
-            )
-            assert np.array_equal(got, expected), (kernel, length)
-
-
-@pytest.mark.paper_artifact("kernel-numba-scaling")
-def test_bench_numba_thread_scaling(benchmark, sweep_csr, keyed_request):
-    """Optional-CI pin: the nogil numba kernel scales >= 2x at 4 threads.
-
-    Skipped where numba is absent (the default container); the CI leg that
-    installs numba runs it and exports the scaling curve.  The first call
-    pays JIT compilation, so the kernel is warmed before timing.
-    """
-    numba = pytest.importorskip("numba")
-    sources, keys = keyed_request
-    kernel = resolve_kernel("numba")
-
-    def run():
-        return kernel.sample(sweep_csr, sources, LONG_WALK, keys)
-
-    run()  # warm the JIT cache outside the timed region
-
-    def timed_with_threads(threads: int) -> float:
-        numba.set_num_threads(threads)
-        try:
-            return best_of(5, run)
-        finally:
-            numba.set_num_threads(numba.config.NUMBA_NUM_THREADS)
-
-    def compare() -> float:
-        return timed_with_threads(1) / timed_with_threads(4)
-
-    scaling = benchmark.pedantic(compare, rounds=1, iterations=1)
-    benchmark.extra_info["numba_thread_scaling_4"] = scaling
-    expected = sample_walk_matrix_keyed(
-        sweep_csr, sources, LONG_WALK, keys, kernel="reference"
-    )
-    assert np.array_equal(run(), expected)
-    assert scaling >= 2.0
+        expected = ReferenceKernel().sample(sweep_csr, sources, length, keys)
+        got = NumpyKernel().sample(sweep_csr, sources, length, keys)
+        assert np.array_equal(got, expected), length

@@ -192,7 +192,6 @@ def sample_walk_matrix_keyed(
     length: int,
     world_keys: np.ndarray,
     chunk_rows: "int | None" = None,
-    kernel: "str | None" = None,
 ) -> np.ndarray:
     """Sample one walk per ``(source, world key)`` pair, fully deterministically.
 
@@ -207,19 +206,12 @@ def sample_walk_matrix_keyed(
     ``sources`` may mix different endpoints freely, so the walk bundles of an
     entire query batch can be sampled in one vectorized sweep.
 
-    ``chunk_rows`` overrides the row-chunk size (``None`` = the
-    length-scaled heuristic of :func:`keyed_chunk_rows`); it never affects
-    the sampled walks, only the evaluation granularity.
+    ``chunk_rows`` overrides the row-chunk size (``None`` = the kernel's
+    degree-scaled default); it never affects the sampled walks, only the
+    evaluation granularity.
 
-    ``kernel`` selects the evaluation backend — one of
-    :data:`repro.core.kernels.KERNELS` or ``"auto"``/``None`` for the
-    process default (the ``REPRO_KERNEL`` environment variable).  Every
-    backend is bit-identical; see :mod:`repro.core.kernels`.
+    The sweep runs the fused :data:`repro.core.kernels.KERNEL`.
     """
-    # Imported lazily: kernels imports this module's splitmix helpers, so a
-    # top-level import here would be circular.
-    from repro.core import kernels as _kernels
-
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     world_keys = np.ascontiguousarray(world_keys, dtype=np.uint64)
     if sources.ndim != 1 or world_keys.shape != sources.shape:
@@ -232,8 +224,9 @@ def sample_walk_matrix_keyed(
         0 <= int(sources.min()) and int(sources.max()) < csr.num_vertices
     ):
         raise InvalidParameterError("source indices out of range")
-    implementation = _kernels.resolve_kernel(kernel)
-    return implementation.sample(csr, sources, length, world_keys, chunk_rows)
+    # Called through the instance (not a bound method captured at import) so
+    # a class-level wrap of ``NumpyKernel.sample`` sees every sweep.
+    return _kernels.KERNEL.sample(csr, sources, length, world_keys, chunk_rows)
 
 
 def meeting_probabilities_from_matrices(
@@ -316,3 +309,9 @@ def bundle_key(
     mistaken for each other.
     """
     return (int(vertex_index), bool(twin), int(length), int(num_walks))
+
+
+# Imported last: kernels imports this module's splitmix helpers, so the
+# import has to wait until they are defined.  Loading it here (not on the
+# first sweep) keeps its import cost out of the first query.
+from repro.core import kernels as _kernels  # noqa: E402

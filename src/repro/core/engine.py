@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.baseline import baseline_simrank_all_pairs
 from repro.core.batch_walks import DEFAULT_SHARD_SIZE
-from repro.core.kernels import validate_kernel
 from repro.core.executors import (
     METHODS,
     EngineCaches,
@@ -118,12 +117,10 @@ class SimRankEngine:
         bundle_store: "object | None" = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         topk_index_budget_bytes: "int | None" = DEFAULT_INDEX_BUDGET_BYTES,
-        kernel: "str | None" = None,
     ) -> None:
         self.graph = graph
         self.bundle_store = bundle_store
         self.topk_index_budget_bytes = topk_index_budget_bytes
-        self.kernel = validate_kernel(kernel)
         self.decay = validate_decay(decay)
         self.iterations = validate_iterations(iterations)
         if num_walks < 1:
@@ -230,10 +227,7 @@ class SimRankEngine:
             iterations=self.iterations,
             num_walks=self.num_walks,
             exact_prefix=self.exact_prefix,
-            walks=SerialWalkSource(
-                self._seed, self.shard_size, store=self.bundle_store,
-                kernel=self.kernel,
-            ),
+            walks=SerialWalkSource(self._seed, self.shard_size, store=self.bundle_store),
         )
 
     # -- queries --------------------------------------------------------------

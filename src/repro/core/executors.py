@@ -85,7 +85,6 @@ from repro.core.batch_walks import (
     meeting_probabilities_from_matrices,
     sample_walk_matrix_keyed,
 )
-from repro.core.kernels import validate_kernel
 from repro.core.simrank import (
     DEFAULT_EXACT_PREFIX,
     SimRankResult,
@@ -419,9 +418,7 @@ class SerialWalkSource(WalkSource):
     worker pool.  ``store`` may be a
     :class:`~repro.service.bundle_store.WalkBundleStore` (the engine's
     ``bundle_store=``) or any ``get``/``put`` mapping; ``None`` samples every
-    need afresh.  ``kernel`` picks the sampling backend
-    (:data:`repro.core.kernels.KERNEL_ENV_VAR` resolution when ``None``) and
-    affects speed only, never results.
+    need afresh.
     """
 
     def __init__(
@@ -429,14 +426,12 @@ class SerialWalkSource(WalkSource):
         seed: int,
         shard_size: int = DEFAULT_SHARD_SIZE,
         store: "object | None" = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if shard_size < 1:
             raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
         self.seed = int(seed)
         self.shard_size = int(shard_size)
         self._store = store
-        self.kernel = validate_kernel(kernel)
 
     def store_key(
         self, vertex_index: int, twin: bool, length: int, num_walks: int
@@ -458,23 +453,10 @@ class SerialWalkSource(WalkSource):
         length: int,
         num_walks: int,
     ) -> Dict[Tuple[int, bool], np.ndarray]:
-        sources = np.repeat(
-            np.asarray([request[0] for request in requests], dtype=np.int64),
-            num_walks,
-        )
-        keys = np.concatenate(
-            [
-                endpoint_world_keys(
-                    self.seed, vertex_index, twin, num_walks, self.shard_size
-                )
-                for vertex_index, twin in requests
-            ]
-        )
-        matrix = sample_walk_matrix_keyed(csr, sources, length, keys, kernel=self.kernel)
-        return {
-            request: matrix[position * num_walks : (position + 1) * num_walks]
-            for position, request in enumerate(requests)
-        }
+        # A uniform batch is a mixed batch whose needs share one walk count.
+        needs = [(vertex_index, twin, num_walks) for vertex_index, twin in requests]
+        bundles = self._sample_mixed(csr, needs, length)
+        return {need[:2]: bundle for need, bundle in bundles.items()}
 
     def _sample_mixed(
         self, csr: CSRGraph, needs: Sequence[BundleNeed], length: int
@@ -489,7 +471,7 @@ class SerialWalkSource(WalkSource):
                 for vertex_index, twin, walks in needs
             ]
         )
-        matrix = sample_walk_matrix_keyed(csr, sources, length, keys, kernel=self.kernel)
+        matrix = sample_walk_matrix_keyed(csr, sources, length, keys)
         bundles: Dict[BundleNeed, np.ndarray] = {}
         offset = 0
         for need in needs:

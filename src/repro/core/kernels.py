@@ -1,52 +1,24 @@
-"""Pluggable kernel backends for the keyed walk sampler.
+"""The keyed walk sweep kernel, plus its reference oracle.
 
 Every consumer of the serving stack — the service read pool, SR-TS meeting
 tails, SR-SP filter builds, the top-k index's sketch construction — bottoms
-out in :func:`repro.core.batch_walks.sample_walk_matrix_keyed`.  Its step
-loop is fully deterministic (every walk is a pure function of ``(csr,
-source, world key)``), which makes the *evaluation strategy* a free
-variable: any implementation that reproduces the splitmix64 counter scheme
-bit-for-bit may run the loop.  This module is the seam where those
-implementations plug in:
+out in :func:`repro.core.batch_walks.sample_walk_matrix_keyed`, which runs
+the fused :class:`NumpyKernel` (the module-level :data:`KERNEL`).  Its step
+loop is fully deterministic: every walk is a pure function of ``(csr,
+source, world key)`` under the splitmix64 counter scheme, so any
+evaluation strategy that reproduces that scheme bit-for-bit samples the
+same walks.
 
-``"reference"``
-    The original step loop (:class:`ReferenceKernel`), written for clarity
-    rather than speed.  Always available; the other backends are pinned
-    bit-identical against it.
-
-``"numpy"``
-    A fused rewrite of the same loop: per-thread scratch buffers reused
-    across steps (``out=`` everywhere), the per-arc splitmix64 prefix and
-    pre-shifted integer existence thresholds hoisted out of the step loop,
-    the exists → count → pick chain collapsed into fewer passes (one global
-    cumsum doubles as both the per-row instantiation count and the pick
-    selector, eliminating ``reduceat``), and a dense ``(rows, max_deg)``
-    padded-gather fast path for low-degree low-padding chunks that avoids
-    the ragged flat layout entirely.  This is the default when numba is
-    absent.
-
-``"numba"``
-    An optional ``@njit(parallel=True, nogil=True)`` kernel running the
-    same counter scheme as an explicit per-row loop — one walk per
-    ``prange`` lane, no temporaries at all, scaling across cores without
-    the GIL.  Auto-detected at import; gracefully absent when numba is not
-    installed (``"auto"`` then falls back to ``"numpy"``).
-
-Backend selection: the ``REPRO_KERNEL`` environment variable
-(``auto|reference|numpy|numba``, default ``auto``) picks the process-wide
-default; a ``kernel=`` argument (plumbed through
-:class:`~repro.service.sharding.ShardedWalkSampler`,
-:class:`~repro.core.executors.SerialWalkSource`,
-:class:`~repro.service.tenancy.TenantConfig` and the service runner)
-overrides it per component.  Selection never affects results — only speed.
+:class:`ReferenceKernel` is the original step loop, written for clarity
+rather than speed.  No option routes to it; it is the test oracle the
+fused kernel is pinned bit-identical against.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import os
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -68,24 +40,13 @@ from repro.utils.errors import InvalidParameterError
 __all__ = [
     "DENSE_MAX_COLS",
     "DENSE_MAX_WASTE",
+    "KERNEL",
     "NUMPY_CHUNK_MAX_ROWS",
     "NUMPY_CHUNK_MIN_ROWS",
-    "KERNELS",
-    "KERNEL_ENV_VAR",
-    "KernelBackend",
-    "available_kernels",
-    "default_kernel_name",
-    "numba_available",
+    "NumpyKernel",
+    "ReferenceKernel",
     "resolve_chunk_rows",
-    "resolve_kernel",
-    "validate_kernel",
 ]
-
-#: Environment variable naming the process-wide default backend.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Every backend name (``"numba"`` may be unavailable at runtime).
-KERNELS = ("reference", "numpy", "numba")
 
 #: Degree bound of the fused numpy kernel's dense fast path: rows whose
 #: current vertex has at most this many out-arcs are evaluated as a padded
@@ -119,70 +80,28 @@ _U31 = np.uint64(31)
 _2_53 = float(2.0**53)
 
 
-def numba_available() -> bool:
-    """Whether the optional numba backend can be imported (checked once)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        _NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
-    return _NUMBA_AVAILABLE
-
-
-_NUMBA_AVAILABLE: Optional[bool] = None
-
-
-def available_kernels() -> tuple:
-    """The backend names usable in this process, reference first."""
-    names = ["reference", "numpy"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
-
-
-def validate_kernel(name: "str | None") -> Optional[str]:
-    """Validate a ``kernel=`` argument (``None`` defers to the environment).
-
-    ``"auto"`` and every :data:`KERNELS` entry are accepted; requesting
-    ``"numba"`` explicitly on a machine without numba fails here, early and
-    loudly, instead of at the first sampled batch.
-    """
-    if name is None:
-        return None
-    if name not in ("auto", *KERNELS):
-        raise InvalidParameterError(
-            f"unknown kernel {name!r}; expected one of {('auto', *KERNELS)}"
-        )
-    if name == "numba" and not numba_available():
-        raise InvalidParameterError(
-            "kernel 'numba' requested but numba is not installed; "
-            "use kernel='auto' to fall back to the fused numpy backend"
-        )
-    return name
-
-
+# Kept for perfbench, whose run fingerprint records the kernel name.
 def default_kernel_name() -> str:
-    """The resolved process-wide default backend name.
-
-    Reads :data:`KERNEL_ENV_VAR` (default ``"auto"``); ``"auto"`` means the
-    numba kernel when importable, the fused numpy kernel otherwise.
-    """
-    name = os.environ.get(KERNEL_ENV_VAR, "auto") or "auto"
-    validate_kernel(name)
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    return name
+    """The name of the one keyed sweep kernel."""
+    return "numpy"
 
 
-def resolve_kernel(name: "str | None" = None) -> "KernelBackend":
-    """The backend instance for ``name`` (``None``/"auto" = the default)."""
-    if name is None or name == "auto":
-        name = default_kernel_name()
-    else:
-        validate_kernel(name)
-    return _REGISTRY[name]
+# Kept for perfbench, which records this probe in its run fingerprint.
+def numba_available() -> bool:
+    """Whether numba can be imported (nothing here uses it)."""
+    return importlib.util.find_spec("numba") is not None
+
+
+# Kept for perfbench, which wraps ``type(resolve_kernel(None)).sample``.
+def resolve_kernel(name: None = None) -> "NumpyKernel":
+    """The one keyed sweep kernel instance; any ``name`` is rejected."""
+    if name is not None:
+        raise InvalidParameterError(f"there is one walk kernel; got {name!r}")
+    return KERNEL
 
 
 def resolve_chunk_rows(csr: CSRGraph, length: int, chunk_rows: "int | None") -> int:
-    """The row-chunk size of one keyed sweep (shared by every backend)."""
+    """The row-chunk size of one keyed sweep (shared by both kernels)."""
     if chunk_rows is None:
         degree = csr.num_arcs / max(1, csr.num_vertices)
         return keyed_chunk_rows(length, degree)
@@ -192,33 +111,11 @@ def resolve_chunk_rows(csr: CSRGraph, length: int, chunk_rows: "int | None") -> 
     return rows
 
 
-class KernelBackend:
-    """One evaluation strategy for the keyed step loop.
+class ReferenceKernel:
+    """The original chunked step loop — the bit-identity test oracle.
 
-    ``sample`` receives validated inputs (contiguous int64 ``sources`` /
-    uint64 ``world_keys`` of equal length, in-range sources, ``length >=
-    0``) from :func:`~repro.core.batch_walks.sample_walk_matrix_keyed` and
-    returns the ``(len(sources), length + 1)`` walk matrix.  Every backend
-    must be bit-identical to ``"reference"`` for all inputs.
+    ``sample`` has the same contract as :meth:`NumpyKernel.sample`.
     """
-
-    name: str = ""
-
-    def sample(
-        self,
-        csr: CSRGraph,
-        sources: np.ndarray,
-        length: int,
-        world_keys: np.ndarray,
-        chunk_rows: "int | None" = None,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ReferenceKernel(KernelBackend):
-    """The original chunked step loop — the bit-identity anchor."""
-
-    name = "reference"
 
     def sample(
         self,
@@ -297,7 +194,7 @@ class ReferenceKernel(KernelBackend):
 class _Scratch:
     """Named, grow-only scratch buffers reused across steps and chunks.
 
-    One instance per thread (kernel backends are process-wide singletons and
+    One instance per thread (the kernel is a process-wide singleton and
     the service's read pool samples concurrently), sized to the largest
     request seen; ``get`` returns a leading view, so the per-step cost is the
     writes into the buffer, never allocation.
@@ -305,7 +202,6 @@ class _Scratch:
 
     def __init__(self) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
-        self._iota_u64 = np.arange(0, dtype=np.uint64)
         self._iota_i64 = np.arange(0, dtype=np.int64)
 
     def get(self, name: str, size: int, dtype: np.dtype) -> np.ndarray:
@@ -317,11 +213,6 @@ class _Scratch:
 
     def get2d(self, name: str, rows: int, cols: int, dtype: np.dtype) -> np.ndarray:
         return self.get(name, rows * cols, dtype).reshape(rows, cols)
-
-    def iota_u64(self, size: int) -> np.ndarray:
-        if self._iota_u64.size < size:
-            self._iota_u64 = np.arange(max(size, 256), dtype=np.uint64)
-        return self._iota_u64[:size]
 
     def iota_i64(self, size: int) -> np.ndarray:
         if self._iota_i64.size < size:
@@ -343,7 +234,7 @@ def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-class NumpyKernel(KernelBackend):
+class NumpyKernel:
     """The fused numpy rewrite of the step loop.
 
     Same chunk structure and identical arithmetic as the reference, with the
@@ -370,9 +261,11 @@ class NumpyKernel(KernelBackend):
       no ``repeat`` ragged bookkeeping; other steps keep the fused ragged
       layout, with hub rows split out so the light majority can still go
       dense.
-    """
 
-    name = "numpy"
+    ``sample`` takes the inputs that
+    :func:`~repro.core.batch_walks.sample_walk_matrix_keyed` validated and
+    returns the same walk matrix as :class:`ReferenceKernel`.
+    """
 
     def __init__(self) -> None:
         self._local = threading.local()
@@ -638,110 +531,5 @@ def _ragged_rows(
     return destinations, alive
 
 
-class NumbaKernel(KernelBackend):
-    """The optional nogil numba backend (compiled lazily on first use).
-
-    One walk per ``prange`` lane: each lane recomputes its arc uniforms
-    scalar-wise with wrapping uint64 arithmetic — the identical IEEE floats
-    the vectorized backends produce — so the output is bit-identical while
-    the loop runs GIL-free across cores.  ``chunk_rows`` is validated but
-    ignored (the lane loop has no chunk granularity).
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._kernel = None
-        self._lock = threading.Lock()
-
-    def _compiled(self):
-        if self._kernel is None:
-            with self._lock:
-                if self._kernel is None:
-                    if not numba_available():
-                        raise InvalidParameterError(
-                            "kernel 'numba' requested but numba is not installed"
-                        )
-                    self._kernel = _build_numba_kernel()
-        return self._kernel
-
-    def sample(
-        self,
-        csr: CSRGraph,
-        sources: np.ndarray,
-        length: int,
-        world_keys: np.ndarray,
-        chunk_rows: "int | None" = None,
-    ) -> np.ndarray:
-        resolve_chunk_rows(csr, length, chunk_rows)
-        count = sources.shape[0]
-        walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
-        walks[:, 0] = sources
-        if count == 0 or length == 0:
-            return walks
-        self._compiled()(
-            csr.indptr, csr.indices, csr.probs, sources, length, world_keys, walks
-        )
-        return walks
-
-
-def _build_numba_kernel():
-    """Compile the per-row nogil step loop (requires numba)."""
-    import numba
-
-    gamma = np.uint64(int(_SPLITMIX_GAMMA))
-    mult1 = np.uint64(int(_SPLITMIX_M1))
-    mult2 = np.uint64(int(_SPLITMIX_M2))
-    pick_salt = np.uint64(int(_PICK_SALT))
-    inv_2_53 = _INV_2_53
-    u11, u27, u30, u31 = _U11, _U27, _U30, _U31
-
-    @numba.njit(nogil=True, inline="always")
-    def splitmix(x):
-        z = x + gamma
-        z = (z ^ (z >> u30)) * mult1
-        z = (z ^ (z >> u27)) * mult2
-        return z ^ (z >> u31)
-
-    @numba.njit(parallel=True, nogil=True, cache=False)
-    def kernel(indptr, indices, probs, sources, length, world_keys, walks):
-        for row in numba.prange(sources.shape[0]):
-            key = world_keys[row]
-            pick_base = splitmix(key ^ pick_salt)
-            current = sources[row]
-            for step in range(length):
-                start = indptr[current]
-                end = indptr[current + 1]
-                if start == end:
-                    break
-                instantiated = 0
-                for arc in range(start, end):
-                    hashed = splitmix(splitmix(np.uint64(arc)) ^ key)
-                    uniform = np.float64(hashed >> u11) * inv_2_53
-                    if uniform < probs[arc]:
-                        instantiated += 1
-                if instantiated == 0:
-                    break
-                pick_hash = splitmix(pick_base + np.uint64(step + 1))
-                pick_uniform = np.float64(pick_hash >> u11) * inv_2_53
-                pick = np.int64(pick_uniform * np.float64(instantiated))
-                seen = 0
-                for arc in range(start, end):
-                    hashed = splitmix(splitmix(np.uint64(arc)) ^ key)
-                    uniform = np.float64(hashed >> u11) * inv_2_53
-                    if uniform < probs[arc]:
-                        if seen == pick:
-                            current = indices[arc]
-                            break
-                        seen += 1
-                walks[row, step + 1] = current
-        return walks
-
-    return kernel
-
-
-_REGISTRY: Dict[str, KernelBackend] = {
-    "reference": ReferenceKernel(),
-    "numpy": NumpyKernel(),
-    "numba": NumbaKernel(),
-}
+#: The process-wide kernel instance every keyed sweep runs through.
+KERNEL = NumpyKernel()

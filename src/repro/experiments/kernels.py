@@ -1,22 +1,20 @@
-"""Kernel-backend sweep: single-thread speedup and thread scaling.
+"""Keyed sweep kernel: the fused kernel against its reference oracle.
 
-ROADMAP item 2 asks for a GIL-free keyed sampling kernel; this experiment
-measures what the backend layer of :mod:`repro.core.kernels` delivers on
-this machine.  One deterministic keyed sweep — the Fig. 12 sweep-graph
-shape, every row a ``(source, world key)`` pair — runs through every
-available backend at two walk lengths:
+One deterministic keyed sweep — the Fig. 12 sweep-graph shape, every row a
+``(source, world key)`` pair — runs at two walk lengths through both step
+loops of :mod:`repro.core.kernels`:
 
-* ``reference`` — the original chunked ``_sample_walks_core`` loop, the
-  bit-identity anchor and the baseline of every ratio.
-* ``numpy`` — the fused kernel (scratch reuse, pre-shifted integer
+* ``reference`` — :class:`~repro.core.kernels.ReferenceKernel`, the
+  original chunked loop, the bit-identity oracle and the baseline of every
+  ratio.
+* ``numpy`` — :class:`~repro.core.kernels.NumpyKernel`, the fused kernel
+  every production sweep runs (scratch reuse, pre-shifted integer
   thresholds, flatnonzero+bincount selection, dense fast path).
-* ``numba`` — the nogil ``prange`` kernel, when numba is installed; it is
-  additionally timed at 1 and 4 threads for the thread-scaling ratio.
 
-Every backend's walk matrix is checked bit-identical to the reference
-before its time is reported — a backend that drifted would invalidate the
-whole deterministic serving stack, so the experiment refuses to report a
-speedup for it.  Timing is best-of-N (min filters scheduler noise, the
+The fused kernel's walk matrix is checked bit-identical to the reference
+before its speedup is reported — a kernel that drifted would invalidate
+the whole deterministic serving stack, so the experiment refuses to report
+a speedup for it.  Timing is best-of-N (min filters scheduler noise, the
 benchmark suite's protocol).
 
 Run it from the CLI with ``python -m repro.experiments kernels [--quick]``.
@@ -24,14 +22,13 @@ Run it from the CLI with ``python -m repro.experiments kernels [--quick]``.
 
 from __future__ import annotations
 
-import time
+import timeit
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.core.batch_walks import sample_walk_matrix_keyed
-from repro.core.kernels import available_kernels, numba_available, resolve_kernel
+from repro.core.kernels import NumpyKernel, ReferenceKernel
 from repro.experiments.report import format_table
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_uncertain
@@ -39,40 +36,23 @@ from repro.graph.generators import rmat_uncertain
 
 @dataclass
 class KernelRun:
-    """One backend's cost on the shared keyed sweep at one walk length."""
+    """One kernel's cost on the shared keyed sweep at one walk length."""
 
     kernel: str
     length: int
     best_wall_ms: float
-    speedup: float  #: reference best time / this backend's best time
+    speedup: float  #: reference best time / this kernel's best time
     bit_identical: bool
 
 
 @dataclass
 class KernelsResult:
-    """All backend runs plus the optional numba thread-scaling ratio."""
+    """Both kernels' runs at every walk length."""
 
     num_vertices: int
     num_edges: int
     rows: int
     runs: List[KernelRun]
-    numba_threads_1_ms: Optional[float] = None
-    numba_threads_4_ms: Optional[float] = None
-
-    @property
-    def thread_scaling(self) -> Optional[float]:
-        if not self.numba_threads_1_ms or not self.numba_threads_4_ms:
-            return None
-        return self.numba_threads_1_ms / self.numba_threads_4_ms
-
-
-def _best_of(repeats: int, run) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_kernels_experiment(
@@ -82,7 +62,7 @@ def run_kernels_experiment(
     lengths: tuple = (4, 11),
     repeats: int = 5,
 ) -> KernelsResult:
-    """Time every available kernel backend on one deterministic keyed sweep."""
+    """Time the reference and the fused kernel on one deterministic sweep."""
     csr = CSRGraph.from_uncertain(rmat_uncertain(num_vertices, num_edges, rng=43))
     generator = np.random.default_rng(11)
     sources = generator.integers(0, csr.num_vertices, size=rows).astype(np.int64)
@@ -90,55 +70,31 @@ def run_kernels_experiment(
 
     runs: List[KernelRun] = []
     for length in lengths:
-        expected = sample_walk_matrix_keyed(
-            csr, sources, length, keys, kernel="reference"
-        )
-        baseline_ms: Optional[float] = None
-        for kernel in available_kernels():
-            identical = np.array_equal(
-                sample_walk_matrix_keyed(csr, sources, length, keys, kernel=kernel),
-                expected,
+        expected = ReferenceKernel().sample(csr, sources, length, keys)
+        baseline_ms = 0.0
+        for name, kernel in (("reference", ReferenceKernel()), ("numpy", NumpyKernel())):
+            identical = np.array_equal(kernel.sample(csr, sources, length, keys), expected)
+            wall_ms = 1e3 * min(
+                timeit.repeat(
+                    lambda: kernel.sample(csr, sources, length, keys),
+                    number=1,
+                    repeat=repeats,
+                )
             )
-            wall_ms = 1e3 * _best_of(
-                repeats,
-                lambda: sample_walk_matrix_keyed(
-                    csr, sources, length, keys, kernel=kernel
-                ),
-            )
-            if kernel == "reference":
+            if name == "reference":
                 baseline_ms = wall_ms
             runs.append(
                 KernelRun(
-                    kernel=kernel,
+                    kernel=name,
                     length=length,
                     best_wall_ms=wall_ms,
                     speedup=baseline_ms / wall_ms if identical else float("nan"),
                     bit_identical=identical,
                 )
             )
-
-    result = KernelsResult(
+    return KernelsResult(
         num_vertices=num_vertices, num_edges=num_edges, rows=rows, runs=runs
     )
-    if numba_available():
-        import numba
-
-        kernel = resolve_kernel("numba")
-        length = lengths[-1]
-        kernel.sample(csr, sources, length, keys)  # warm the JIT cache
-        default_threads = numba.config.NUMBA_NUM_THREADS
-        try:
-            numba.set_num_threads(1)
-            result.numba_threads_1_ms = 1e3 * _best_of(
-                repeats, lambda: kernel.sample(csr, sources, length, keys)
-            )
-            numba.set_num_threads(min(4, default_threads))
-            result.numba_threads_4_ms = 1e3 * _best_of(
-                repeats, lambda: kernel.sample(csr, sources, length, keys)
-            )
-        finally:
-            numba.set_num_threads(default_threads)
-    return result
 
 
 def format_kernels_results(result: KernelsResult) -> str:
@@ -148,18 +104,10 @@ def format_kernels_results(result: KernelsResult) -> str:
         (run.kernel, run.length, run.best_wall_ms, run.speedup, run.bit_identical)
         for run in result.runs
     ]
-    lines = [
-        f"keyed sweep: {result.rows} walks on rmat"
-        f"({result.num_vertices}, {result.num_edges})",
-        format_table(headers, table_rows, precision=2),
-    ]
-    if result.thread_scaling is not None:
-        lines.append(
-            f"numba thread scaling (1 -> 4 threads): "
-            f"{result.numba_threads_1_ms:.1f} ms -> "
-            f"{result.numba_threads_4_ms:.1f} ms "
-            f"({result.thread_scaling:.2f}x)"
-        )
-    else:
-        lines.append("numba not installed: thread-scaling sweep skipped")
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            f"keyed sweep: {result.rows} walks on rmat"
+            f"({result.num_vertices}, {result.num_edges})",
+            format_table(headers, table_rows, precision=2),
+        ]
+    )

@@ -11,10 +11,8 @@ the stream reads like a serial program.
 Query requests (``method`` is optional, default ``"sampling"``; ``graph``
 is an optional tenant name, default the graph loaded at startup;
 ``num_walks`` optionally overrides the tenant's walk count for that query
-alone, subject to the tenant's ``max_num_walks`` admission cap; ``k`` and
-``num_walks`` must be JSON integers — a bool, float or string is answered
-with an ``error`` line; ``id`` is an optional opaque value echoed into the
-response)::
+alone, subject to the tenant's ``max_num_walks`` admission cap; ``id`` is an
+optional opaque value echoed into the response)::
 
     {"op": "pair", "u": "v1", "v": "v2"}
     {"op": "pair", "u": "v1", "v": "v2", "num_walks": 200}
@@ -51,9 +49,13 @@ Control requests::
 
 ``create_graph`` accepts ``edges`` (``[u, v, probability]`` triples, applied
 as directed arcs), optional ``vertices`` (isolated vertices to pre-register)
-and optional ``params`` overriding per-tenant engine configuration
-(``decay``, ``iterations``, ``num_walks``, ``seed``, ``shard_size``,
-``store_budget_bytes``, …).  ``mutate`` applies its ops as one validated
+and optional ``params`` overriding per-tenant engine configuration (the
+:class:`~repro.service.tenancy.TenantConfig` fields).  No field is coerced:
+integers (``k``, ``num_walks``, ``seed``, …) must be JSON integers, or null
+where the config field is optional; probabilities must be JSON numbers;
+``edges``, ``vertices``, ``ops``, ``candidates`` and ``pairs`` must be JSON
+arrays.  Anything else is answered with an ``error`` line naming the field.
+``mutate`` applies its ops as one validated
 :class:`~repro.service.tenancy.MutationLog` batch: the tenant's graph
 version is bumped, only its cached bundles are dropped, and the CSR snapshot
 is patched incrementally.  ``stats`` returns the service's batching counters
@@ -94,9 +96,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, List, Optional
+from typing import IO, List, Optional, get_type_hints
 
-from repro.core.kernels import KERNELS
 from repro.datasets.registry import load_dataset
 from repro.graph.io import read_edge_list
 from repro.graph.uncertain_graph import UncertainGraph, example_graph
@@ -110,10 +111,13 @@ from repro.service.service import (
     TopKVertexQuery,
 )
 from repro.service.sharding import DEFAULT_SHARD_SIZE, EXECUTORS
-from repro.service.tenancy import MutationLog
+from repro.service.tenancy import MutationLog, TenantConfig
 
 #: Request ops handled synchronously, as barriers between query runs.
 CONTROL_OPS = ("create_graph", "mutate", "drop_graph", "stats", "metrics")
+
+#: The declared type of every ``create_graph`` param (a TenantConfig field).
+_PARAM_TYPES = get_type_hints(TenantConfig)
 
 
 def _build_graph(args: argparse.Namespace) -> UncertainGraph:
@@ -135,6 +139,27 @@ def _integer(field: str, value):
     """``value`` if it is a JSON integer; a bool, float or string is refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(field: str, value):
+    """``value`` if it is a JSON number; a bool or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {field!r} must be a number, got {value!r}")
+    return value
+
+
+def _array(field: str, value, item_length: Optional[int] = None) -> list:
+    """``value`` if it is a JSON array (of ``item_length``-long arrays)."""
+    if not isinstance(value, list):
+        raise ValueError(f"field {field!r} must be an array, got {value!r}")
+    if item_length is not None:
+        for item in value:
+            if not isinstance(item, list) or len(item) != item_length:
+                raise ValueError(
+                    f"field {field!r} items must be arrays of length "
+                    f"{item_length}, got {item!r}"
+                )
     return value
 
 
@@ -160,7 +185,7 @@ def _parse_query(record: dict):
         return TopKVertexQuery(
             _require(record, "query"),
             _integer("k", _require(record, "k")),
-            tuple(candidates) if candidates is not None else None,
+            tuple(_array("candidates", candidates)) if candidates is not None else None,
             method=method,
             graph=graph,
             num_walks=num_walks,
@@ -169,7 +194,9 @@ def _parse_query(record: dict):
         pairs = record.get("pairs")
         return TopKPairsQuery(
             _integer("k", _require(record, "k")),
-            tuple((u, v) for u, v in pairs) if pairs is not None else None,
+            tuple((u, v) for u, v in _array("pairs", pairs, 2))
+            if pairs is not None
+            else None,
             method=method,
             graph=graph,
             num_walks=num_walks,
@@ -285,12 +312,19 @@ def _run_control(service: SimilarityService, record: dict) -> dict:
         return response
     name = _require(record, "graph")
     if op == "create_graph":
-        graph = UncertainGraph(vertices=record.get("vertices", ()))
-        for u, v, probability in record.get("edges", ()):
-            graph.add_arc(u, v, float(probability))
+        graph = UncertainGraph(vertices=_array("vertices", record.get("vertices", [])))
+        for u, v, probability in _array("edges", record.get("edges", []), 3):
+            graph.add_arc(u, v, float(_number("edges probability", probability)))
         params = record.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("params must be an object of tenant config fields")
+        for field, value in params.items():
+            # Numeric fields must be JSON numbers; Optional ones also take null.
+            kind = _PARAM_TYPES.get(field)
+            if kind is int or (kind == Optional[int] and value is not None):
+                _integer(f"params.{field}", value)
+            elif kind is float or (kind == Optional[float] and value is not None):
+                _number(f"params.{field}", value)
         tenant = service.create_graph(name, graph, **params)
         response.update(
             graph=name,
@@ -299,7 +333,7 @@ def _run_control(service: SimilarityService, record: dict) -> dict:
         )
         return response
     if op == "mutate":
-        log = MutationLog.from_records(_require(record, "ops"))
+        log = MutationLog.from_records(_array("ops", _require(record, "ops")))
         report = service.mutate(log, graph=name)
         response.update(report.as_dict())
         return response
@@ -338,13 +372,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
     parser.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--executor", choices=EXECUTORS, default="serial")
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", *KERNELS),
-        default=None,
-        help="walk-sampling kernel backend (default: REPRO_KERNEL env / "
-        "auto-detect; answers are bit-identical for every backend)",
-    )
     parser.add_argument(
         "--read-workers",
         type=int,
@@ -491,7 +518,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
         shard_size=args.shard_size,
         num_workers=args.workers,
         executor=args.executor,
-        kernel=args.kernel,
         store_budget_bytes=budget,
         read_workers=args.read_workers,
         ingest_mode=args.ingest_mode,

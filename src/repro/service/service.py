@@ -464,7 +464,6 @@ class SimilarityService:
         shard_size: int = DEFAULT_SHARD_SIZE,
         num_workers: int = 1,
         executor: str = "serial",
-        kernel: Optional[str] = None,
         store_budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES,
         max_batch_size: int = 64,
         batch_wait_seconds: float = 0.002,
@@ -529,7 +528,6 @@ class SimilarityService:
                     shard_size=shard_size,
                     num_workers=num_workers,
                     executor=executor,
-                    kernel=kernel,
                     store_budget_bytes=store_budget_bytes,
                     max_num_walks=max_num_walks,
                     max_qps=max_qps,

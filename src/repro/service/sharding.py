@@ -44,7 +44,6 @@ from repro.core.batch_walks import (
     sample_walk_matrix_keyed,
     shard_world_keys,
 )
-from repro.core.kernels import validate_kernel
 from repro.graph.csr import CSRGraph
 from repro.utils.errors import InvalidParameterError
 
@@ -78,16 +77,9 @@ def _init_worker(indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray) -> 
     _WORKER_CSR = CSRGraph(indptr, indices, probs, tuple(range(len(indptr) - 1)))
 
 
-def _process_task(
-    sources: np.ndarray,
-    world_keys: np.ndarray,
-    length: int,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
+def _process_task(sources: np.ndarray, world_keys: np.ndarray, length: int) -> np.ndarray:
     assert _WORKER_CSR is not None, "worker pool initializer did not run"
-    return sample_walk_matrix_keyed(
-        _WORKER_CSR, sources, length, world_keys, kernel=kernel
-    )
+    return sample_walk_matrix_keyed(_WORKER_CSR, sources, length, world_keys)
 
 
 class ShardedWalkSampler:
@@ -105,11 +97,6 @@ class ShardedWalkSampler:
         Worker count for the ``"thread"`` / ``"process"`` executors.
     executor:
         One of :data:`EXECUTORS`.  Affects execution only, never results.
-    kernel:
-        Kernel backend name for the keyed sweeps (see
-        :mod:`repro.core.kernels`).  ``None``/"auto" defers to the
-        ``REPRO_KERNEL`` environment default.  Affects speed only, never
-        results — every backend is bit-identical.
     """
 
     def __init__(
@@ -118,7 +105,6 @@ class ShardedWalkSampler:
         shard_size: int = DEFAULT_SHARD_SIZE,
         num_workers: int = 1,
         executor: str = "serial",
-        kernel: Optional[str] = None,
     ) -> None:
         if executor not in EXECUTORS:
             raise InvalidParameterError(
@@ -134,7 +120,6 @@ class ShardedWalkSampler:
         self.shard_size = int(shard_size)
         self.num_workers = int(num_workers)
         self.executor = executor
-        self.kernel = validate_kernel(kernel)
         #: Fault-injection seam (tests only): when set, called at the top of
         #: every :meth:`sample_bundles`; an exception it raises propagates to
         #: the caller exactly like a real sampling failure (worker crash,
@@ -321,11 +306,7 @@ class ShardedWalkSampler:
 
         if self.executor == "serial" or self.num_workers == 1 or len(units) == 1:
             sources, keys = pack(units)
-            matrices = [
-                sample_walk_matrix_keyed(
-                    csr, sources, length, keys, kernel=self.kernel
-                )
-            ]
+            matrices = [sample_walk_matrix_keyed(csr, sources, length, keys)]
             blocks = [units]
         else:
             # Spread the units over ~2 tasks per worker for load balance; the
@@ -340,14 +321,7 @@ class ShardedWalkSampler:
                 for block in blocks:
                     sources, keys = pack(block)
                     futures.append(
-                        pool.submit(
-                            sample_walk_matrix_keyed,
-                            csr,
-                            sources,
-                            length,
-                            keys,
-                            kernel=self.kernel,
-                        )
+                        pool.submit(sample_walk_matrix_keyed, csr, sources, length, keys)
                     )
                 matrices = [future.result() for future in futures]
             else:
@@ -358,11 +332,7 @@ class ShardedWalkSampler:
                     futures = []
                     for block in blocks:
                         sources, keys = pack(block)
-                        futures.append(
-                            pool.submit(
-                                _process_task, sources, keys, length, self.kernel
-                            )
-                        )
+                        futures.append(pool.submit(_process_task, sources, keys, length))
                     matrices = [future.result() for future in futures]
 
         # Reassemble: walk rows come back in unit order within each block.

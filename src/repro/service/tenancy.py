@@ -42,6 +42,7 @@ by publishing a fresh epoch.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -121,12 +122,17 @@ class MutationLog:
             raise InvalidParameterError(
                 f"unknown mutation op {mutation.op!r}; expected one of {MUTATION_OPS}"
             )
-        if mutation.op in ("add_edge", "update_probability"):
-            probability = mutation.probability
-            if probability is None or not 0.0 < float(probability) <= 1.0:
+        probability = mutation.probability
+        if mutation.op != "remove_edge" or probability is not None:
+            # A number, never a bool or a numeric string.
+            if (
+                isinstance(probability, bool)
+                or not isinstance(probability, numbers.Real)
+                or not 0.0 < probability <= 1.0
+            ):
                 raise InvalidParameterError(
-                    f"{mutation.op} needs a probability in (0, 1], got "
-                    f"{mutation.probability!r} for ({mutation.u!r}, {mutation.v!r})"
+                    f"{mutation.op} field 'probability' must be a number in "
+                    f"(0, 1], got {probability!r} for ({mutation.u!r}, {mutation.v!r})"
                 )
         self._mutations.append(mutation)
         return self
@@ -162,14 +168,8 @@ class MutationLog:
                 raise InvalidParameterError(
                     f"mutation record is missing required field(s) {missing}"
                 )
-            probability = record.get("probability")
             log._append(
-                Mutation(
-                    record["op"],
-                    record["u"],
-                    record["v"],
-                    float(probability) if probability is not None else None,
-                )
+                Mutation(record["op"], record["u"], record["v"], record.get("probability"))
             )
         return log
 
@@ -263,10 +263,6 @@ class TenantConfig:
     shard_size: int = DEFAULT_SHARD_SIZE
     num_workers: int = 1
     executor: str = "serial"
-    #: Walk-sampling kernel backend (``None`` = ``REPRO_KERNEL`` env /
-    #: auto-detect; see :mod:`repro.core.kernels`).  Affects throughput only —
-    #: every backend is bit-identical, so answers never depend on it.
-    kernel: Optional[str] = None
     store_budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES
     #: Admission cap on per-query ``num_walks`` overrides (``None`` = no cap;
     #: the tenant's configured ``num_walks`` default is always admitted).
@@ -387,7 +383,6 @@ class GraphTenant:
             shard_size=config.shard_size,
             num_workers=config.num_workers,
             executor=config.executor,
-            kernel=config.kernel,
         )
         self.engine = SimRankEngine(
             graph,
@@ -401,7 +396,6 @@ class GraphTenant:
             shard_size=config.shard_size,
             bundle_store=self.store,
             topk_index_budget_bytes=config.topk_index_budget_bytes,
-            kernel=config.kernel,
         )
         self.epochs = EpochManager()
         #: Serializes writers (mutation ingest, epoch refresh).  Queries

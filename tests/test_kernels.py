@@ -1,14 +1,14 @@
-"""The kernel backend layer: resolution, bit-identity, and batched mixing.
+"""The keyed walk sweep kernel: bit-identity and batched mixing.
 
-Every backend of :mod:`repro.core.kernels` must sample walk matrices
-bit-identical to the original unchunked step loop of
-:class:`~repro.core.kernels.ReferenceKernel` — the property the whole
+The production sweep (:func:`~repro.core.batch_walks.sample_walk_matrix_keyed`,
+which runs the fused :class:`~repro.core.kernels.NumpyKernel`) must sample
+walk matrices bit-identical to the original unchunked step loop of the
+:class:`~repro.core.kernels.ReferenceKernel` oracle — the property the whole
 deterministic serving stack (sharding, epochs, bundle stores) rests on.  The
-suites here sweep chunk sizes, kernel names, and graph shapes chosen to
-drive the fused numpy kernel through both its dense fast path and its
-ragged path, and cross-validate the keyed scheme against the scalar
-:func:`~repro.core.sampling.sample_walks` oracle statistically.  The numba
-suite auto-skips when numba is not installed.
+suites here sweep chunk sizes and graph shapes chosen to drive the fused
+kernel through both its dense fast path and its ragged path, and
+cross-validate the keyed scheme against the scalar
+:func:`~repro.core.sampling.sample_walks` oracle statistically.
 """
 
 from __future__ import annotations
@@ -29,24 +29,19 @@ from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.executors import PrefetchedWalkSource, SerialWalkSource
 from repro.core.kernels import (
     DENSE_MAX_COLS,
-    KERNEL_ENV_VAR,
-    KERNELS,
+    KERNEL,
     NUMPY_CHUNK_MAX_ROWS,
-    NUMPY_CHUNK_MIN_ROWS,
     NumpyKernel,
     ReferenceKernel,
-    available_kernels,
     default_kernel_name,
-    numba_available,
     resolve_chunk_rows,
     resolve_kernel,
-    validate_kernel,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph, example_graph
 from repro.service.sharding import ShardedWalkSampler
-from repro.service.tenancy import GraphTenant, TenantConfig
+from repro.service.tenancy import TenantConfig
 from repro.utils.errors import InvalidParameterError
 
 from tests.conftest import small_random_uncertain_graph
@@ -62,6 +57,16 @@ def reference_walks(
     return ReferenceKernel().sample(
         csr, sources, length, keys, chunk_rows=max(1, sources.size)
     )
+
+
+def reference_sweep(csr, sources, length, keys, chunk_rows=None) -> np.ndarray:
+    """The oracle at its default (or the given) chunking."""
+    return ReferenceKernel().sample(csr, sources, length, keys, chunk_rows)
+
+
+#: The two evaluations of the keyed sweep: the chunked oracle and the
+#: production path.  Both must equal the unchunked oracle.
+SWEEPS = {"reference": reference_sweep, "numpy": sample_walk_matrix_keyed}
 
 
 def keyed_request(csr: CSRGraph, count: int, seed: int):
@@ -114,51 +119,19 @@ GRAPHS = graph_zoo()
 
 
 class TestKernelResolution:
-    def test_validate_accepts_none_and_auto(self):
-        assert validate_kernel(None) is None
-        assert validate_kernel("auto") == "auto"
-
-    def test_validate_accepts_available_kernels(self):
-        for name in available_kernels():
-            assert validate_kernel(name) == name
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            validate_kernel("fortran")
-
-    def test_explicit_numba_without_numba_fails_early(self):
-        if numba_available():
-            pytest.skip("numba installed: explicit 'numba' is valid here")
-        with pytest.raises(InvalidParameterError, match="numba is not installed"):
-            validate_kernel("numba")
-
-    def test_available_kernels_reference_first(self):
-        names = available_kernels()
-        assert names[0] == "reference"
-        assert "numpy" in names
-        assert set(names) <= set(KERNELS)
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert default_kernel_name() == "reference"
-        assert resolve_kernel(None).name == "reference"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
+    def test_one_kernel_and_no_selection(self):
         assert default_kernel_name() == "numpy"
-
-    def test_auto_prefers_numba_else_numpy(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert default_kernel_name() == expected
-
-    def test_invalid_env_var_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cuda")
-        with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            default_kernel_name()
-
-    def test_resolve_returns_singletons(self):
-        assert resolve_kernel("numpy") is resolve_kernel("numpy")
-        assert isinstance(resolve_kernel("numpy"), NumpyKernel)
-        assert isinstance(resolve_kernel("reference"), ReferenceKernel)
+        assert resolve_kernel() is KERNEL
+        assert isinstance(KERNEL, NumpyKernel)
+        with pytest.raises(InvalidParameterError, match="one walk kernel"):
+            resolve_kernel("reference")
+        with pytest.raises(TypeError):
+            SimRankEngine(example_graph(), kernel="numpy")
+        with pytest.raises(TypeError):
+            ShardedWalkSampler(seed=1, kernel="numpy")
+        with pytest.raises(TypeError):
+            SerialWalkSource(seed=1, kernel="numpy")
+        assert "kernel" not in TenantConfig.__dataclass_fields__
 
     def test_resolve_chunk_rows_bounds_and_override(self):
         csr = GRAPHS["sparse"]
@@ -168,28 +141,18 @@ class TestKernelResolution:
         with pytest.raises(InvalidParameterError, match="chunk_rows"):
             resolve_chunk_rows(csr, 5, 0)
 
-    def test_consumers_validate_kernel(self):
-        with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            SerialWalkSource(seed=1, kernel="fortran")
-        with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            ShardedWalkSampler(seed=1, kernel="fortran")
-        with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            SimRankEngine(example_graph(), seed=1, kernel="fortran")
-        with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            GraphTenant("t", example_graph(), TenantConfig(seed=1, kernel="fortran"))
-
 
 class TestBitIdentity:
-    """Every backend, chunk size, and graph shape samples identical walks."""
+    """Every chunk size and graph shape samples the oracle's walks."""
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    @pytest.mark.parametrize("kernel", available_kernels())
+    @pytest.mark.parametrize("kernel", list(SWEEPS))
     def test_kernels_match_unchunked_core(self, name, kernel):
         csr = GRAPHS[name]
         sources, keys = keyed_request(csr, 700, seed=hash(name) % 2**31)
         for length in (0, 1, 5, 11):
             expected = reference_walks(csr, sources, length, keys)
-            got = sample_walk_matrix_keyed(csr, sources, length, keys, kernel=kernel)
+            got = SWEEPS[kernel](csr, sources, length, keys)
             assert np.array_equal(got, expected), (name, kernel, length)
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 64, 997, NUMPY_CHUNK_MAX_ROWS])
@@ -197,10 +160,8 @@ class TestBitIdentity:
         csr = GRAPHS["sparse"]
         sources, keys = keyed_request(csr, 500, seed=42)
         expected = reference_walks(csr, sources, 7, keys)
-        for kernel in available_kernels():
-            got = sample_walk_matrix_keyed(
-                csr, sources, 7, keys, chunk_rows=chunk_rows, kernel=kernel
-            )
+        for kernel, sweep in SWEEPS.items():
+            got = sweep(csr, sources, 7, keys, chunk_rows=chunk_rows)
             assert np.array_equal(got, expected), (kernel, chunk_rows)
 
     def test_dense_and_ragged_paths_agree_across_boundary(self):
@@ -214,7 +175,7 @@ class TestBitIdentity:
             csr = CSRGraph.from_uncertain(graph)
             sources, keys = keyed_request(csr, 400, seed=extra)
             expected = reference_walks(csr, sources, 6, keys)
-            got = sample_walk_matrix_keyed(csr, sources, 6, keys, kernel="numpy")
+            got = sample_walk_matrix_keyed(csr, sources, 6, keys)
             assert np.array_equal(got, expected), extra
 
     def test_zero_probability_arcs_never_taken(self):
@@ -227,15 +188,15 @@ class TestBitIdentity:
             vertices=tuple(range(10)),
         )
         sources, keys = keyed_request(csr, 200, seed=0)
-        for kernel in available_kernels():
-            walks = sample_walk_matrix_keyed(csr, sources, 4, keys, kernel=kernel)
+        for sweep in SWEEPS.values():
+            walks = sweep(csr, sources, 4, keys)
             assert np.array_equal(walks[:, 0], sources)
             assert (walks[:, 1:] == batch_walks.NO_VERTEX).all()
 
     def test_certain_arcs_always_exist(self, certain_graph):
         csr = CSRGraph.from_uncertain(certain_graph)
         sources, keys = keyed_request(csr, 300, seed=1)
-        walks = sample_walk_matrix_keyed(csr, sources, 8, keys, kernel="numpy")
+        walks = sample_walk_matrix_keyed(csr, sources, 8, keys)
         assert np.array_equal(
             walks, reference_walks(csr, sources, 8, keys)
         )
@@ -246,15 +207,13 @@ class TestBitIdentity:
         csr = GRAPHS["paper"]
         empty_sources = np.empty(0, dtype=np.int64)
         empty_keys = np.empty(0, dtype=np.uint64)
-        for kernel in available_kernels():
-            walks = sample_walk_matrix_keyed(
-                csr, empty_sources, 5, empty_keys, kernel=kernel
-            )
+        for sweep in SWEEPS.values():
+            walks = sweep(csr, empty_sources, 5, empty_keys)
             assert walks.shape == (0, 6)
 
     def test_scalar_python_backend_statistical_agreement(self, paper_graph):
         """The keyed kernels agree with the scalar oracle estimator."""
-        keyed = SimRankEngine(paper_graph, seed=3, num_walks=4000, kernel="numpy")
+        keyed = SimRankEngine(paper_graph, seed=3, num_walks=4000)
         generator = np.random.default_rng(3)
         for u, v in [("v1", "v2"), ("v2", "v3")]:
             a = keyed.similarity(u, v, method="sampling").score
@@ -268,38 +227,22 @@ class TestBitIdentity:
 
 
 class TestKernelPlumbing:
-    def test_engine_scores_identical_across_kernels(self, paper_graph):
-        expected = None
-        for kernel in available_kernels():
-            engine = SimRankEngine(paper_graph, seed=11, num_walks=200, kernel=kernel)
-            scores = [
-                engine.similarity("v1", "v2", method="sampling").score,
-                engine.similarity("v2", "v3", method="two_phase").score,
-            ]
-            if expected is None:
-                expected = scores
-            assert scores == expected, kernel
-
-    def test_sharded_sampler_identical_across_kernels_and_executors(self):
+    def test_sharded_sampler_identical_across_executors(self):
         csr = GRAPHS["sparse"]
         requests = [(0, False), (3, False), (3, True), (7, False)]
         expected = None
-        for kernel in available_kernels():
-            for executor, workers in [("serial", 1), ("thread", 3)]:
-                sampler = ShardedWalkSampler(
-                    seed=5, shard_size=16, num_workers=workers,
-                    executor=executor, kernel=kernel,
-                )
-                try:
-                    bundles = sampler.sample_bundles(csr, requests, 6, 40)
-                finally:
-                    sampler.close()
-                if expected is None:
-                    expected = bundles
-                for request in requests:
-                    assert np.array_equal(bundles[request], expected[request]), (
-                        kernel, executor,
-                    )
+        for executor, workers in [("serial", 1), ("thread", 3), ("process", 2)]:
+            sampler = ShardedWalkSampler(
+                seed=5, shard_size=16, num_workers=workers, executor=executor
+            )
+            try:
+                bundles = sampler.sample_bundles(csr, requests, 6, 40)
+            finally:
+                sampler.close()
+            if expected is None:
+                expected = bundles
+            for request in requests:
+                assert np.array_equal(bundles[request], expected[request]), executor
 
 
 class TestMixedWalkBatching:
@@ -391,24 +334,3 @@ class TestMemoizationAndDeprecation:
     def test_unknown_module_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             batch_walks.NOT_A_REAL_NAME
-
-
-class TestNumbaKernel:
-    """Exercised only where numba is installed (the optional CI leg)."""
-
-    def test_numba_bit_identity(self):
-        pytest.importorskip("numba")
-        csr = GRAPHS["sparse"]
-        sources, keys = keyed_request(csr, 600, seed=13)
-        for length in (0, 1, 7):
-            expected = reference_walks(csr, sources, length, keys)
-            got = sample_walk_matrix_keyed(csr, sources, length, keys, kernel="numba")
-            assert np.array_equal(got, expected), length
-
-    def test_numba_extreme_probabilities(self):
-        pytest.importorskip("numba")
-        csr = GRAPHS["extreme"]
-        sources, keys = keyed_request(csr, 400, seed=14)
-        expected = reference_walks(csr, sources, 9, keys)
-        got = sample_walk_matrix_keyed(csr, sources, 9, keys, kernel="numba")
-        assert np.array_equal(got, expected)

@@ -528,6 +528,100 @@ class TestRunner:
         assert "error" not in responses[-1]
         assert len(responses[-1]["results"]) == 2
 
+    def _errors(self, lines):
+        code, out, _ = self._run(lines)
+        assert code == 0
+        responses = [json.loads(line) for line in out.splitlines()]
+        assert len(responses) == len(lines)
+        return [response.get("error") for response in responses]
+
+    def test_create_graph_kernel_param_rejected(self):
+        """There is one walk kernel: ``params.kernel`` is an unknown field."""
+        errors = self._errors(
+            [
+                '{"op": "create_graph", "graph": "g", "edges": [["a", "b", 0.5]], '
+                '"params": {"kernel": "reference"}}',
+                '{"op": "pair", "graph": "g", "u": "a", "v": "b"}',
+            ]
+        )
+        assert "unknown tenant config field(s) ['kernel']" in errors[0]
+        assert "unknown graph 'g'" in errors[1]
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ('{"num_walks": 2.5}', "params.num_walks"),
+            ('{"num_walks": true}', "params.num_walks"),
+            ('{"num_walks": null}', "params.num_walks"),
+            ('{"seed": "7"}', "params.seed"),
+            ('{"store_budget_bytes": 1e6}', "params.store_budget_bytes"),
+            ('{"decay": "0.6"}', "params.decay"),
+        ],
+    )
+    def test_create_graph_params_type_checked(self, params, field):
+        """Integer params are never coerced; the tenant is not created."""
+        errors = self._errors(
+            [
+                '{"op": "create_graph", "graph": "g", "edges": [["a", "b", 0.5]], '
+                f'"params": {params}}}',
+                '{"op": "pair", "graph": "g", "u": "a", "v": "b"}',
+            ]
+        )
+        assert f"field {field!r} must be" in errors[0]
+        assert "unknown graph 'g'" in errors[1]
+
+    def test_create_graph_nullable_params_accept_null(self):
+        errors = self._errors(
+            [
+                '{"op": "create_graph", "graph": "g", "edges": [["a", "b", 0.5]], '
+                '"params": {"seed": null, "max_num_walks": null, "num_walks": 50}}',
+                '{"op": "pair", "graph": "g", "u": "a", "v": "b"}',
+            ]
+        )
+        assert errors == [None, None]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"op": "create_graph", "graph": "g", "edges": [["a", "b", "0.5"]]}',
+             "field 'edges probability' must be a number"),
+            ('{"op": "create_graph", "graph": "g", "edges": [["a", "b", true]]}',
+             "field 'edges probability' must be a number"),
+            ('{"op": "create_graph", "graph": "g", "edges": "abc"}',
+             "field 'edges' must be an array"),
+            ('{"op": "create_graph", "graph": "g", "edges": [["a", "b"]]}',
+             "field 'edges' items must be arrays of length 3"),
+            ('{"op": "create_graph", "graph": "g", "vertices": "abc"}',
+             "field 'vertices' must be an array"),
+            ('{"op": "mutate", "graph": "default", "ops": '
+             '[{"op": "add_edge", "u": "v1", "v": "x", "probability": "0.4"}]}',
+             "field 'probability' must be a number"),
+            ('{"op": "mutate", "graph": "default", "ops": '
+             '[{"op": "update_probability", "u": "v1", "v": "v2", "probability": true}]}',
+             "field 'probability' must be a number"),
+            ('{"op": "mutate", "graph": "default", "ops": {}}',
+             "field 'ops' must be an array"),
+            ('{"op": "top_k", "query": "v1", "k": 2, "candidates": "v2"}',
+             "field 'candidates' must be an array"),
+            ('{"op": "top_k_pairs", "k": 2, "pairs": "v1v2"}',
+             "field 'pairs' must be an array"),
+            ('{"op": "top_k_pairs", "k": 2, "pairs": [["v1", "v2", "v3"]]}',
+             "field 'pairs' items must be arrays of length 2"),
+        ],
+    )
+    def test_probabilities_and_arrays_never_coerced(self, line, message):
+        """Each malformed field yields an error line naming it; the graph is
+        untouched and the stream keeps serving."""
+        errors = self._errors(
+            [
+                line,
+                '{"op": "mutate", "graph": "default", "ops": []}',
+                '{"op": "pair", "u": "v1", "v": "v2"}',
+            ]
+        )
+        assert message in errors[0]
+        assert errors[1:] == [None, None]
+
     def test_stats_flag(self):
         code, _, err = self._run(['{"op": "pair", "u": "v1", "v": "v2"}'], "--stats")
         assert code == 0

@@ -52,49 +52,6 @@ _SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
 _PICK_SALT = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = float(2.0**-53)
 
-#: Minimum row-chunk size of the keyed sampler.  Multi-source batches can
-#: reach hundreds of thousands of walks; the per-step flat arc arrays of such
-#: a batch spill out of cache and the whole sweep becomes memory-bound (a
-#: 200k walk sweep runs ~5x slower un-chunked).  Walks are row-independent,
-#: so evaluating the batch in chunks is bit-identical and keeps the working
-#: set cache-resident; ~2k rows measured best on laptop-class CPUs at the
-#: paper datasets' density (average out-degree ~10) and default walk length.
-KEYED_CHUNK_MIN_ROWS = 2048
-
-#: Ceiling of :func:`keyed_chunk_rows`: past this, even sparse-graph sweeps
-#: stop gaining from fewer chunk boundaries.
-KEYED_CHUNK_MAX_ROWS = 8192
-
-#: Per-chunk arc budget behind :func:`keyed_chunk_rows`.  The step loop's
-#: working set is the flat candidate-arc arrays — rows × average out-degree
-#: entries across ~6 temporaries — so the cache-resident chunk size is an
-#: *arc* budget, not a row count.
-KEYED_CHUNK_TARGET_ARCS = 8192
-
-
-def keyed_chunk_rows(length: int, avg_out_degree: float) -> int:
-    """Row-chunk size of the keyed sampler for one workload shape.
-
-    Two effects pull in opposite directions.  The per-*step* working set is
-    the flat candidate-arc arrays, rows × ``avg_out_degree`` entries — the
-    cache-residency constraint that makes chunking worthwhile at all — so
-    denser graphs want *fewer* rows per chunk.  The Python-level loop
-    overhead, though, is paid once per chunk per step, and a short walk has
-    few steps to amortize it over — so small-``n`` (short-walk) sweeps want
-    *larger* chunks, which the ``(length + 1) / length`` factor provides
-    (2x at one step, asymptotically 1 for long walks).  Sparse short-walk
-    workloads no longer serialize on tiny chunks, while at the paper
-    datasets' density the result clamps to the measured 2048-row optimum —
-    the old fixed size, now the floor.  Chunking affects performance only:
-    every walk is a pure function of its world key regardless of chunk
-    boundaries.
-    """
-    steps = max(1, length)
-    rows = int(
-        KEYED_CHUNK_TARGET_ARCS * (steps + 1) / (steps * max(1.0, avg_out_degree))
-    )
-    return max(KEYED_CHUNK_MIN_ROWS, min(KEYED_CHUNK_MAX_ROWS, rows))
-
 
 def shard_world_keys(
     seed: int, vertex_index: int, twin: bool, shard_index: int, shard_length: int

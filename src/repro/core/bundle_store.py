@@ -1,0 +1,257 @@
+"""Bounded LRU store for per-endpoint walk bundles and other sized values.
+
+The engine's original multi-pair batching kept walk bundles in plain dicts
+that grew without bound — fine for one batched call, fatal for a long-running
+query service that touches millions of endpoints over its lifetime.
+:class:`WalkBundleStore` replaces those dicts with an LRU-evicting mapping
+under a configurable byte budget, with hit/miss/eviction counters and
+whole-store invalidation keyed on the graph's mutation version.
+
+The store itself is agnostic about keys (any hashable works) and values
+(anything exposing ``nbytes``: numpy arrays, SR-SP
+:class:`~repro.core.speedup.PackedTables`).  The canonical key for a walk
+bundle is :func:`repro.core.batch_walks.bundle_key`, shared by the engine's
+:class:`~repro.core.executors.SerialWalkSource` and the service layer's
+sharded sampler so that bundles prefilled by one are visible to the other.
+:class:`~repro.core.executors.EngineCaches` keeps a second instance per
+snapshot for SR-SP propagation tables.  :mod:`repro.service.bundle_store`
+re-exports this module.
+
+All operations are thread-safe: the service's batch worker and any number of
+submitting threads may touch the store concurrently.  The store never holds
+its lock while a value is built: callers ``get``, build a miss outside the
+store, then ``put`` it.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, Optional
+
+from repro.utils.errors import InvalidParameterError
+
+#: Default memory budget: generous for laptop-scale graphs, finite for a
+#: long-running service (≈ 256 MiB of walk matrices).
+DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
+
+
+@dataclass
+class BundleStoreStats:
+    """Counters of one :class:`WalkBundleStore` (monotone over its lifetime).
+
+    The owning store mutates the counters under its own lock and shares that
+    lock here (:meth:`bind_lock`), so :meth:`as_dict` reads all four counters
+    atomically — a stats poll racing the service's read pool can never see a
+    torn update (e.g. a hit counted but its lookup not yet visible).
+    """
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    invalidations: int = 0
+
+    def bind_lock(self, lock: "threading.RLock") -> None:
+        """Share the owning store's lock for atomic snapshot reads."""
+        self._lock = lock
+
+    @property
+    def lookups(self) -> int:
+        """Total number of ``get`` calls."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the store (0.0 when idle)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        """JSON-friendly consistent snapshot of the counters."""
+        lock = getattr(self, "_lock", None)
+        if lock is None:
+            return self._as_dict_unlocked()
+        with lock:
+            return self._as_dict_unlocked()
+
+    def _as_dict_unlocked(self) -> Dict[str, float]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "invalidations": self.invalidations,
+            "hit_rate": self.hit_rate,
+        }
+
+
+class WalkBundleStore:
+    """LRU-bounded mapping from keys to sized values (walk matrices here).
+
+    Parameters
+    ----------
+    budget_bytes:
+        Maximum total ``nbytes`` of retained bundles; least-recently-used
+        entries are evicted when an insert pushes the store over the budget.
+        ``None`` disables eviction (an unbounded store, used for ephemeral
+        per-call caches).  A single bundle larger than the whole budget is
+        never retained.
+    """
+
+    def __init__(self, budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES) -> None:
+        if budget_bytes is not None and budget_bytes < 1:
+            raise InvalidParameterError(
+                f"budget_bytes must be >= 1 or None, got {budget_bytes}"
+            )
+        self._budget = budget_bytes
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._bytes = 0
+        self._version: Hashable = None
+        # One reentrant lock guards entries, byte accounting, the version
+        # token, AND the counters (shared with the stats object), so every
+        # observable quantity of the store updates atomically.
+        self._lock = threading.RLock()
+        self._stats = BundleStoreStats()
+        self._stats.bind_lock(self._lock)
+
+    # -- introspection --------------------------------------------------------
+
+    @property
+    def budget_bytes(self) -> Optional[int]:
+        """The configured byte budget (``None`` = unbounded)."""
+        return self._budget
+
+    @property
+    def current_bytes(self) -> int:
+        """Total ``nbytes`` of the retained bundles."""
+        return self._bytes
+
+    @property
+    def stats(self) -> BundleStoreStats:
+        """Live counters of this store."""
+        return self._stats
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_stats(self) -> Dict[str, int]:
+        """The uniform ``{hits, misses, evictions, bytes}`` cache shape.
+
+        The shape shared by every serving cache (walk bundles, top-k index
+        artifacts, exact transition distributions) so dashboards can treat
+        them as one family; :attr:`stats` keeps the store's richer
+        invalidation/hit-rate view.
+        """
+        with self._lock:
+            return {
+                "hits": self._stats.hits,
+                "misses": self._stats.misses,
+                "evictions": self._stats.evictions,
+                "bytes": self._bytes,
+            }
+
+    def peek(self, key: Hashable) -> bool:
+        """Whether ``key`` is present, without touching LRU order or stats."""
+        with self._lock:
+            return key in self._entries
+
+    # -- the mapping ----------------------------------------------------------
+
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The bundle stored under ``key``, or ``None`` (counted as hit/miss)."""
+        with self._lock:
+            bundle = self._entries.get(key)
+            if bundle is None:
+                self._stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._stats.hits += 1
+            return bundle
+
+    def put(self, key: Hashable, bundle: Any) -> Any:
+        """Store ``bundle`` under ``key``, evicting LRU entries over budget.
+
+        Returns the bundle, so callers can ``return store.put(key, b)``.
+        """
+        size = int(bundle.nbytes)
+        with self._lock:
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._bytes -= int(previous.nbytes)
+            if self._budget is not None and size > self._budget:
+                # An entry that could never fit would immediately evict the
+                # whole store and then itself; serve it uncached instead.
+                self._stats.evictions += 1
+                return bundle
+            self._entries[key] = bundle
+            self._bytes += size
+            while self._budget is not None and self._bytes > self._budget:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= int(evicted.nbytes)
+                self._stats.evictions += 1
+        return bundle
+
+    # -- version-pinned access (epoch read views) -----------------------------
+
+    @property
+    def version_token(self) -> Hashable:
+        """The snapshot identity the store is currently bound to."""
+        with self._lock:
+            return self._version
+
+    def get_versioned(self, key: Hashable, token: Hashable) -> Optional[Any]:
+        """:meth:`get`, but only while the store is still bound to ``token``.
+
+        A reader pinned to an older graph snapshot must never be handed a
+        bundle sampled on a newer one (the keys coincide across versions —
+        invalidation is whole-store).  When ``token`` no longer matches, the
+        lookup is a miss by definition: the caller resamples on its own
+        pinned snapshot, which is bit-identical to what the store held for
+        that version before it moved on.
+        """
+        with self._lock:
+            if token != self._version:
+                self._stats.misses += 1
+                return None
+            return self.get(key)
+
+    def put_versioned(
+        self, key: Hashable, bundle: Any, token: Hashable
+    ) -> Any:
+        """:meth:`put`, dropped silently if the store moved past ``token``.
+
+        Keeps a retiring epoch's late resamples from polluting the store
+        after a mutation re-bound it to the next graph version.
+        """
+        with self._lock:
+            if token != self._version:
+                return bundle
+            return self.put(key, bundle)
+
+    # -- invalidation ---------------------------------------------------------
+
+    def clear(self) -> int:
+        """Drop every entry; returns how many were dropped."""
+        with self._lock:
+            return self._clear_locked()
+
+    def _clear_locked(self) -> int:
+        dropped = len(self._entries)
+        self._entries.clear()
+        self._bytes = 0
+        return dropped
+
+    def sync_version(self, token: Hashable) -> bool:
+        """Bind the store to a graph snapshot identity; clear it on change.
+
+        ``token`` is typically ``(id(graph), graph.version)``.  Returns
+        ``True`` when the token changed and existing entries were dropped —
+        i.e. a graph mutation invalidated the cached bundles.
+        """
+        with self._lock:
+            if token == self._version:
+                return False
+            self._version = token
+            if self._clear_locked():
+                self._stats.invalidations += 1
+                return True
+            return False

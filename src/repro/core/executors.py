@@ -33,8 +33,9 @@ bundles (and following the partial-sums sharing of Lizorkin et al., VLDB
   distributions (to ``l`` steps), and the sampled tail shares per-endpoint
   walk bundles exactly like ``sampling``.
 * ``speedup`` (SR-SP) — the exact prefix is shared as above, and the
-  bit-vector propagation runs once per unique ``(endpoint, side)`` over the
-  snapshot's cached filter vectors.
+  frontier-sparse bit-vector propagation runs once per unique
+  ``(endpoint, side)`` over the snapshot's cached filter vectors; its
+  tables persist across batches in the snapshot's table store.
 * ``sampling`` — per-endpoint walk bundles resolved through the snapshot's
   :class:`WalkSource` (sampled once, reused across every pair and batch
   that hits the same store).
@@ -85,6 +86,7 @@ from repro.core.batch_walks import (
     meeting_probabilities_from_matrices,
     sample_walk_matrix_keyed,
 )
+from repro.core.bundle_store import WalkBundleStore
 from repro.core.simrank import (
     DEFAULT_EXACT_PREFIX,
     SimRankResult,
@@ -94,6 +96,7 @@ from repro.core.simrank import (
 )
 from repro.core.speedup import (
     FilterVectors,
+    PackedTables,
     packed_meeting_probabilities,
     propagate_packed_tables,
 )
@@ -139,6 +142,14 @@ DEFAULT_TRANSITION_CACHE_STATES = 250_000
 #: one dict slot (key + value references + hash-table overhead) plus the
 #: boxed vertex and float, measured empirically at ~96 B on CPython 3.11.
 TRANSITION_STATE_BYTES = 96
+
+#: Byte budget of each snapshot's SR-SP table store
+#: (:attr:`EngineCaches.speedup_tables`).  A fixed constant, not an option:
+#: one endpoint's tables average ~71 KB on a 2,000-vertex, 6,000-arc R-MAT
+#: graph at ``N = 1000`` and ``n = 5``, so the budget keeps ~900 endpoint
+#: sides — the hot set of a Zipf pair stream — while a top-k scan's
+#: candidate side cycles through the LRU without growing it.
+SPEEDUP_TABLE_BUDGET_BYTES = 64 * 1024 * 1024
 
 
 class TransitionCache:
@@ -237,14 +248,16 @@ class EngineCaches:
     Everything worth sharing across queries at one graph snapshot lives
     here: the pinned :class:`~repro.graph.csr.CSRGraph` (plus its
     :class:`~repro.graph.csr.CSRGraphView`, the dict-graph facade the exact
-    algorithms read), the α cache of the exact algorithms, and the SR-SP
+    algorithms read), the α cache of the exact algorithms, the SR-SP
     filter-vector pairs (one independently drawn u/v pair per
-    ``num_walks``).  The object is identified by ``key`` — the
-    ``(id(graph), graph.version)`` snapshot identity — and is *replaced
-    wholesale*, never mutated across versions: an engine builds a fresh
-    instance when its graph moves on, while consumers that pinned the old
-    instance (an epoch-pinned :class:`EngineSnapshot`) keep a
-    self-consistent view of the caches exactly as they were.
+    ``num_walks``) and the SR-SP propagation tables built from them
+    (:attr:`speedup_tables`, a byte-budgeted LRU).  The object is
+    identified by ``key`` — the ``(id(graph), graph.version)`` snapshot
+    identity — and is *replaced wholesale*, never mutated across versions:
+    an engine builds a fresh instance when its graph moves on, while
+    consumers that pinned the old instance (an epoch-pinned
+    :class:`EngineSnapshot`) keep a self-consistent view of the caches
+    exactly as they were.
 
     Filter pairs are derived from ``seed`` through per-``(side, num_walks)``
     :class:`numpy.random.SeedSequence` streams, so they are a pure function
@@ -274,6 +287,9 @@ class EngineCaches:
         # the graph moves on, so epoch retirement invalidates both for free.
         self.topk_indexes = TopKIndexStore(topk_index_budget_bytes)
         self.transitions = TransitionCache(transition_cache_states)
+        # Keyed (vertex index, side, num_walks, steps, filter rebuild count),
+        # so a filter redraw never serves tables of the old draw.
+        self.speedup_tables = WalkBundleStore(SPEEDUP_TABLE_BUDGET_BYTES)
         self._filter_pairs: Dict[int, Tuple[FilterVectors, FilterVectors]] = {}
         self._rebuilds: Dict[int, int] = {}
         self._lock = threading.Lock()
@@ -288,11 +304,19 @@ class EngineCaches:
         first use and reused for every later query at this snapshot and
         walk count.
         """
+        return self.filter_pair_generation(num_walks)[0]
+
+    def filter_pair_generation(
+        self, num_walks: int
+    ) -> Tuple[Tuple[FilterVectors, FilterVectors], int]:
+        """:meth:`filter_pair` plus the rebuild count it was drawn at, read
+        atomically (the generation part of a :attr:`speedup_tables` key)."""
+        walks = int(num_walks)
         with self._lock:
-            pair = self._filter_pairs.get(int(num_walks))
+            pair = self._filter_pairs.get(walks)
             if pair is None:
-                pair = self._build_pair_locked(int(num_walks))
-            return pair
+                pair = self._build_pair_locked(walks)
+            return pair, self._rebuilds.get(walks, 0)
 
     def rebuild_filter_pair(
         self, num_walks: int
@@ -1052,13 +1076,20 @@ class SpeedupExecutor(TwoPhaseExecutor):
         iterations = snapshot.iterations
         filters_u = overrides.get("filters")
         filters_v = overrides.get("filters_v")
+        shared = bool(overrides.get("shared_filters"))
+        # Only the snapshot's own filter pair has cacheable tables; explicit
+        # filter sets (or one set for both sides) propagate uncached.
+        store: Optional[WalkBundleStore] = None
+        rebuild = 0
         if filters_u is None or filters_v is None:
             # Each side defaults independently from the snapshot's cached
             # pair, so an explicit override of one side keeps the other.
-            pair = snapshot.caches.filter_pair(walks)
+            pair, rebuild = snapshot.caches.filter_pair_generation(walks)
+            if filters_u is None and filters_v is None and not shared:
+                store = snapshot.caches.speedup_tables
             filters_u = pair[0] if filters_u is None else filters_u
             filters_v = pair[1] if filters_v is None else filters_v
-        if overrides.get("shared_filters"):
+        if shared:
             filters_v = filters_u
         processes = filters_u.num_processes
         if filters_v.num_processes != processes:
@@ -1069,14 +1100,21 @@ class SpeedupExecutor(TwoPhaseExecutor):
         # One propagation per unique (endpoint, side): the u-side and v-side
         # tables come from independent filter sets, so a self-pair's two
         # bundles stay independent exactly as in the per-pair algorithm.
-        tables: Dict[Tuple[Vertex, int], np.ndarray] = {}
+        # Misses build outside the store's lock; concurrent builders of one
+        # key produce identical tables, so the last put is as good as any.
+        tables: Dict[Tuple[Vertex, int], PackedTables] = {}
 
-        def table(endpoint: Vertex, side: int, filters: FilterVectors) -> np.ndarray:
-            key = (endpoint, side)
-            cached = tables.get(key)
+        def table(endpoint: Vertex, side: int, filters: FilterVectors) -> PackedTables:
+            cached = tables.get((endpoint, side))
+            if cached is not None:
+                return cached
+            key = (snapshot.csr.index_of(endpoint), side, walks, iterations, rebuild)
+            cached = None if store is None else store.get(key)
             if cached is None:
                 cached = propagate_packed_tables(endpoint, iterations, filters)
-                tables[key] = cached
+                if store is not None:
+                    store.put(key, cached)
+            tables[(endpoint, side)] = cached
             return cached
 
         with self.obs_scope.stage("propagation"):

@@ -32,7 +32,6 @@ from repro.core.batch_walks import (
     _arc_uniforms,
     _pick_uniforms,
     _splitmix64,
-    keyed_chunk_rows,
 )
 from repro.graph.csr import CSRGraph
 from repro.utils.errors import InvalidParameterError
@@ -103,8 +102,7 @@ def resolve_kernel(name: None = None) -> "NumpyKernel":
 def resolve_chunk_rows(csr: CSRGraph, length: int, chunk_rows: "int | None") -> int:
     """The row-chunk size of one keyed sweep (shared by both kernels)."""
     if chunk_rows is None:
-        degree = csr.num_arcs / max(1, csr.num_vertices)
-        return keyed_chunk_rows(length, degree)
+        return _numpy_chunk_rows(csr, length)
     rows = int(chunk_rows)
     if rows < 1:
         raise InvalidParameterError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -284,10 +282,7 @@ class NumpyKernel:
         world_keys: np.ndarray,
         chunk_rows: "int | None" = None,
     ) -> np.ndarray:
-        if chunk_rows is None:
-            rows = _numpy_chunk_rows(csr, length)
-        else:
-            rows = resolve_chunk_rows(csr, length, chunk_rows)
+        rows = resolve_chunk_rows(csr, length, chunk_rows)
         count = sources.shape[0]
         walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
         walks[:, 0] = sources
@@ -328,15 +323,14 @@ class NumpyKernel:
 
 
 def _numpy_chunk_rows(csr: CSRGraph, length: int) -> int:
-    """Default chunk size of the fused kernel (wider than the reference's).
+    """Default chunk size of a keyed sweep (both kernels use it).
 
-    Unlike :func:`~repro.core.batch_walks.keyed_chunk_rows` (which targets a
-    fixed arc count per chunk), the fused kernel's measured sweet spots fall
-    off with the *square* of the average degree: on sparse graphs the
-    per-step fixed costs (compaction, pick hashing, python dispatch)
-    dominate, wanting many rows per chunk, while on dense graphs the
-    per-arc scratch buffers grow ``degree``-fold per row and must stay
-    cache-resident.
+    The fused kernel's measured sweet spots fall off with the *square* of
+    the average degree: on sparse graphs the per-step fixed costs
+    (compaction, pick hashing, python dispatch) dominate, wanting many rows
+    per chunk, while on dense graphs the per-arc scratch buffers grow
+    ``degree``-fold per row and must stay cache-resident.  Chunking never
+    changes a walk: each row is a pure function of its world key.
     """
     avg_degree = max(1.0, csr.num_arcs / max(1, csr.num_vertices))
     rows = int(NUMPY_CHUNK_BUDGET / (avg_degree * avg_degree))

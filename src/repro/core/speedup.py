@@ -25,13 +25,20 @@ estimator keeps the Sampling algorithm's independence assumption;
 
 The filter construction and the online propagation both run on the
 :class:`~repro.graph.csr.CSRGraph` snapshot of the graph.  The filter bits
-live in one ``(num_arcs, words)`` uint64 matrix; the executor's propagation
-(:func:`propagate_packed_tables`) is a handful of numpy gather / AND /
-segmented-OR passes per step.  The per-vertex :class:`BitVector` form
-(:meth:`FilterVectors.get`, :func:`propagate_counting_tables`,
-:func:`meeting_probabilities_from_tables`) is a direct transcription of the
-paper's definitions over the *same* bits, kept as the test oracle the packed
-path must match exactly.
+live in one ``(num_arcs, words)`` uint64 matrix.  The executor's
+propagation (:func:`propagate_packed_tables`) is *frontier-sparse*, in the
+manner of the bit-parallel fingerprints of Fogaras & Rácz (WWW 2005): a
+step touches only the out-arcs of the vertices some walk stands on, so
+its cost follows the frontier rather than the graph, and each step keeps
+only ``(active vertices, words)`` in a :class:`PackedTables`.
+:func:`packed_meeting_probabilities` popcounts only the vertices active on
+both sides.  The SR-SP executor caches each endpoint's tables per graph
+snapshot in :attr:`repro.core.executors.EngineCaches.speedup_tables`, a
+byte-budgeted LRU that is retired with its snapshot.  The per-vertex
+:class:`BitVector` form (:meth:`FilterVectors.get`,
+:func:`propagate_counting_tables`, :func:`meeting_probabilities_from_tables`)
+is a direct transcription of the paper's definitions over the *same* bits,
+kept as the test oracle the packed path must match exactly.
 """
 
 from __future__ import annotations
@@ -268,51 +275,97 @@ def meeting_probabilities_from_tables(
     return meeting
 
 
+class PackedTables:
+    """Frontier-sparse counting tables of one source, in packed words.
+
+    ``steps[k]`` is ``(active, rows)``: the sorted indices of the vertices
+    that are the ``k``-th vertex of at least one sampled walk, and the
+    ``(len(active), words)`` uint64 block of their counting-table bits (no
+    all-zero rows).  Both arrays are read-only, so one instance can be
+    cached and shared by concurrent readers; :attr:`nbytes` sizes it for a
+    byte-budgeted store.
+    """
+
+    __slots__ = ("steps", "nbytes")
+
+    def __init__(self, steps: List[Tuple[np.ndarray, np.ndarray]]) -> None:
+        for active, rows in steps:
+            active.flags.writeable = False
+            rows.flags.writeable = False
+        self.steps: Tuple[Tuple[np.ndarray, np.ndarray], ...] = tuple(steps)
+        self.nbytes = sum(active.nbytes + rows.nbytes for active, rows in steps)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
 def propagate_packed_tables(
     source: Vertex,
     steps: int,
     filters: FilterVectors,
-) -> np.ndarray:
+) -> PackedTables:
     """Array form of :func:`propagate_counting_tables` on packed filter words.
 
-    Returns a ``(steps + 1, n, words)`` uint64 array ``tables`` with
-    ``tables[k][w]`` the packed bit vector recording in which sampling
-    processes vertex ``w`` is the ``k``-th vertex of the walk from ``source``.
-    Each step is one gather over arc sources, one AND with the packed filter
-    bits, and one destination-grouped OR reduction — no per-vertex Python.
+    Only the live frontier is propagated: each step gathers the CSR arcs out
+    of the active rows, ANDs their source rows with the packed filter bits,
+    drops the all-zero contributions, and ORs the rest grouped by
+    destination (a sort plus one ``reduceat``).  The cost of a step
+    follows the frontier's out-arcs, not the graph, and a frontier that dies
+    leaves empty steps.
     """
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
     csr = filters.csr
     if not csr.has_vertex(source):
         raise InvalidParameterError(f"source vertex {source!r} is not in the graph")
-    tables = np.zeros((steps + 1, csr.num_vertices, filters.packed.shape[1]), dtype=np.uint64)
-    tables[0, csr.index_of(source)] = filters.ones_mask()
-    if csr.num_arcs == 0:
-        return tables
-    permutation, group_starts, group_targets = csr.csc_groups()
-    sources = csr.arc_sources()[permutation]
-    packed = filters.packed[permutation]
-    for step in range(steps):
-        contribution = tables[step][sources] & packed
-        tables[step + 1][group_targets] = np.bitwise_or.reduceat(
-            contribution, group_starts, axis=0
+    indptr, indices, packed = csr.indptr, csr.indices, filters.packed
+    active = np.array([csr.index_of(source)], dtype=np.int64)
+    rows = filters.ones_mask()[None, :]
+    tables = [(active, rows)]
+    for _ in range(steps):
+        starts = indptr[active]
+        counts = indptr[active + 1] - starts
+        row_of_arc = np.repeat(np.arange(active.size), counts)
+        # Arc ids of the active rows' out-slices, concatenated in row order.
+        offsets = np.cumsum(counts) - counts
+        arcs = np.arange(row_of_arc.size) + np.repeat(starts - offsets, counts)
+        moved = rows[row_of_arc] & packed[arcs]
+        live = np.flatnonzero(np.bitwise_or.reduce(moved, axis=1))
+        # The sort only groups arcs by destination and OR is order-free, so
+        # the (several times faster) unstable sort yields the same bits.
+        order = np.argsort(indices[arcs[live]])
+        live = live[order]
+        targets = indices[arcs[live]]
+        firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+        active = targets[firsts]
+        rows = (
+            np.bitwise_or.reduceat(moved[live], firsts, axis=0)
+            if firsts.size
+            else np.empty((0, packed.shape[1]), dtype=np.uint64)
         )
-    return tables
+        tables.append((active, rows))
+    return PackedTables(tables)
 
 
 def packed_meeting_probabilities(
-    tables_u: np.ndarray,
-    tables_v: np.ndarray,
+    tables_u: PackedTables,
+    tables_v: PackedTables,
     num_processes: int,
     u: Vertex,
     v: Vertex,
 ) -> List[float]:
-    """Eq. 16 on packed counting tables: popcount of the per-vertex ANDs."""
-    if tables_u.shape != tables_v.shape:
+    """Eq. 16 on packed counting tables: popcount of the per-vertex ANDs.
+
+    Per step only the vertices active on both sides can contribute, so the
+    AND and the popcount run over the intersection of the two active sets.
+    """
+    if len(tables_u) != len(tables_v):
         raise InvalidParameterError("counting tables must cover the same number of steps")
     meeting = [1.0 if u == v else 0.0]
-    for k in range(1, tables_u.shape[0]):
-        hits = int(popcount_words(tables_u[k] & tables_v[k]).sum(dtype=np.int64))
+    for (active_u, rows_u), (active_v, rows_v) in zip(tables_u.steps[1:], tables_v.steps[1:]):
+        _, at_u, at_v = np.intersect1d(
+            active_u, active_v, assume_unique=True, return_indices=True
+        )
+        hits = int(popcount_words(rows_u[at_u] & rows_v[at_v]).sum(dtype=np.int64))
         meeting.append(hits / num_processes)
     return meeting

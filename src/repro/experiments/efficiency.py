@@ -52,11 +52,13 @@ def time_query(
 ) -> Tuple[SimRankResult, float]:
     """One pair query through the engine and its wall-clock time in seconds.
 
-    The engine's cross-query transition cache is emptied first, so every
-    timed query pays for its own exact prefix, as a single-pair query in the
-    paper does; offline artifacts (SR-SP filter vectors, α values) stay warm.
+    The engine's cross-query transition cache and SR-SP table store are
+    emptied first, so every timed query pays for its own exact prefix and
+    propagation, as a single-pair query in the paper does; offline artifacts
+    (SR-SP filter vectors, α values) stay warm.
     """
     engine.caches.transitions.clear()
+    engine.caches.speedup_tables.clear()
     return time_call(engine.similarity, u, v, method=method, **overrides)
 
 

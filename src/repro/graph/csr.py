@@ -11,9 +11,8 @@ standard compressed-sparse-row triple
 
 plus a dense vertex indexing (``index_of`` / ``vertex_at``) in the graph's
 insertion order, matching :meth:`UncertainGraph.vertex_index`.  Everything the
-batch walk engine and the SR-SP filter construction need — degrees, arc
-slices, a CSC permutation for destination-grouped reductions — hangs off the
-snapshot as precomputed arrays.
+batch walk engine and the SR-SP filter construction and propagation need —
+degrees, arc slices, arc sources — comes straight off these arrays.
 
 Snapshots are cached on the source graph keyed by its mutation
 :attr:`~repro.graph.uncertain_graph.UncertainGraph.version`, so repeated
@@ -64,9 +63,6 @@ class CSRGraph:
         "version",
         "_vertices",
         "_index",
-        "_csc_perm",
-        "_csc_indptr",
-        "_csc_targets",
     )
 
     def __init__(
@@ -93,9 +89,6 @@ class CSRGraph:
         self._index: Dict[Vertex, int] = {
             vertex: position for position, vertex in enumerate(self._vertices)
         }
-        self._csc_perm: np.ndarray | None = None
-        self._csc_indptr: np.ndarray | None = None
-        self._csc_targets: np.ndarray | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -304,32 +297,6 @@ class CSRGraph:
     def arc_sources(self) -> np.ndarray:
         """Source vertex index of every arc (the CSR row of each entry)."""
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.out_degrees())
-
-    # -- destination-grouped (CSC) view --------------------------------------
-
-    def _ensure_csc(self) -> None:
-        if self._csc_perm is not None:
-            return
-        perm = np.argsort(self.indices, kind="stable")
-        sorted_destinations = self.indices[perm]
-        targets, starts = np.unique(sorted_destinations, return_index=True)
-        self._csc_perm = perm
-        self._csc_indptr = starts.astype(np.int64)
-        self._csc_targets = targets.astype(np.int64)
-
-    def csc_groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arc permutation grouping arcs by destination.
-
-        Returns ``(perm, group_starts, group_targets)``: ``perm`` reorders arc
-        arrays so that arcs sharing a destination are contiguous,
-        ``group_starts`` are the segment boundaries suitable for
-        ``np.ufunc.reduceat`` along the permuted arc axis, and
-        ``group_targets`` is the destination vertex of each segment.  Only
-        vertices with at least one in-arc appear.
-        """
-        self._ensure_csc()
-        assert self._csc_perm is not None
-        return self._csc_perm, self._csc_indptr, self._csc_targets
 
     # -- dunder --------------------------------------------------------------
 

@@ -23,7 +23,8 @@ into a servable system:
   sharded parallel walk sampling over a serial / thread / process executor.
 * :mod:`repro.service.bundle_store` — :class:`WalkBundleStore`, the
   LRU-bounded walk-bundle store with hit/miss/eviction stats and
-  graph-version invalidation (one per tenant).
+  graph-version invalidation (one per tenant; re-exported from
+  :mod:`repro.core.bundle_store`).
 * :mod:`repro.service.qos` — :class:`AdmissionController` /
   :class:`TokenBucket` / :class:`OverloadedError`, per-tenant admission
   quotas (``max_qps`` / ``max_inflight`` / ``max_queue_depth``) enforced

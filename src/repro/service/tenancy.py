@@ -634,16 +634,13 @@ class GraphTenant:
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Every serving cache of this tenant in the uniform
         ``{hits, misses, evictions, bytes}`` shape."""
-        caches: Dict[str, Dict[str, int]] = {
+        caches = self.engine.caches
+        return {
             "walk_bundles": self.store.cache_stats(),
+            "topk_indexes": caches.topk_indexes.cache_stats(),
+            "transitions": caches.transitions.cache_stats(),
+            "speedup_tables": caches.speedup_tables.cache_stats(),
         }
-        topk_store = getattr(self.engine.caches, "topk_indexes", None)
-        if topk_store is not None:
-            caches["topk_indexes"] = topk_store.cache_stats()
-        transitions = getattr(self.engine.caches, "transitions", None)
-        if transitions is not None:
-            caches["transitions"] = transitions.cache_stats()
-        return caches
 
     def close(self) -> None:
         """Shut down the tenant's sampler pool."""

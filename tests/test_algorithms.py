@@ -27,9 +27,7 @@ from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.speedup import (
     FilterVectors,
     meeting_probabilities_from_tables,
-    packed_meeting_probabilities,
     propagate_counting_tables,
-    propagate_packed_tables,
 )
 from repro.core.transition import exact_transition_matrices_by_enumeration
 from repro.graph.uncertain_graph import UncertainGraph
@@ -233,9 +231,9 @@ class TestSpeedup:
             "v1", "v2", method="speedup", exact_prefix=0, shared_filters=True
         )
         assert 0.0 <= result.score <= 1.0
-        expected = packed_meeting_probabilities(
-            propagate_packed_tables("v1", 3, engine.filters),
-            propagate_packed_tables("v2", 3, engine.filters),
+        expected = meeting_probabilities_from_tables(
+            propagate_counting_tables(paper_graph, "v1", 3, engine.filters),
+            propagate_counting_tables(paper_graph, "v2", 3, engine.filters),
             500, "v1", "v2",
         )
         assert list(result.meeting_probabilities) == expected
@@ -247,9 +245,9 @@ class TestSpeedup:
             "v1", "v2", method="speedup", exact_prefix=0, filters=filters
         )
         assert result.details["num_walks"] == 300
-        expected = packed_meeting_probabilities(
-            propagate_packed_tables("v1", 3, filters),
-            propagate_packed_tables("v2", 3, engine.filters_v),
+        expected = meeting_probabilities_from_tables(
+            propagate_counting_tables(paper_graph, "v1", 3, filters),
+            propagate_counting_tables(paper_graph, "v2", 3, engine.filters_v),
             300, "v1", "v2",
         )
         assert list(result.meeting_probabilities) == expected

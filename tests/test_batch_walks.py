@@ -4,8 +4,9 @@ The keyed sampler behind every executor must reproduce the semantics of the
 scalar :func:`~repro.core.sampling.sample_walk`: walks follow existing arcs,
 truncate at dead ends of the sampled possible world, and the engine's
 meeting-probability estimates agree with the scalar estimator (and with the
-exact Baseline values) within Monte-Carlo tolerance.  The SR-SP packed
-propagation must match the per-vertex counting tables exactly.
+exact Baseline values) within Monte-Carlo tolerance.  The SR-SP
+frontier-sparse packed propagation must match the per-vertex counting tables
+exactly.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from repro.core.speedup import (
     propagate_counting_tables,
     propagate_packed_tables,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, CSRGraphView
+from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.service.bundle_store import WalkBundleStore
+from repro.utils.bitvector import BitVector
 from repro.utils.errors import InvalidParameterError
 
 #: Monte-Carlo tolerance for two independent estimates at the sample sizes below.
@@ -185,20 +188,15 @@ class TestCrossValidation:
         assert first.meeting_probabilities == second.meeting_probabilities
 
     def test_speedup_backends_agree_exactly(self, paper_graph):
-        """Same filter bits: packed propagation == per-vertex counting tables."""
+        """Same filter bits: sparse packed propagation == counting tables."""
         filters_u = FilterVectors(paper_graph, 700, rng=3)
         filters_v = FilterVectors(paper_graph, 700, rng=4)
         packed_u = propagate_packed_tables("v1", 4, filters_u)
         packed_v = propagate_packed_tables("v2", 4, filters_v)
         tables_u = propagate_counting_tables(paper_graph, "v1", 4, filters_u)
         tables_v = propagate_counting_tables(paper_graph, "v2", 4, filters_v)
-        csr = filters_u.csr
-        for packed, tables in ((packed_u, tables_u), (packed_v, tables_v)):
-            for step, table in enumerate(tables):
-                for position in range(csr.num_vertices):
-                    bits = int.from_bytes(packed[step, position].tobytes(), "little")
-                    vector = table.get(csr.vertex_at(position))
-                    assert bits == (0 if vector is None else vector.bits)
+        assert unpack_tables(packed_u, filters_u) == tables_u
+        assert unpack_tables(packed_v, filters_v) == tables_v
         oracle = meeting_probabilities_from_tables(tables_u, tables_v, 700, "v1", "v2")
         assert packed_meeting_probabilities(packed_u, packed_v, 700, "v1", "v2") == oracle
         engine = SimRankEngine(paper_graph, iterations=4, num_walks=700, seed=1)
@@ -207,6 +205,144 @@ class TestCrossValidation:
             filters=filters_u, filters_v=filters_v,
         )
         assert list(result.meeting_probabilities) == oracle
+
+
+def unpack_tables(tables, filters: FilterVectors):
+    """Sparse packed tables as the oracle's per-step ``{vertex: BitVector}``.
+
+    Also checks the sparse form's invariants: sorted unique active rows,
+    one row of words per active vertex, and no all-zero row.
+    """
+    csr, width = filters.csr, filters.num_processes
+    unpacked = []
+    for active, rows in tables.steps:
+        assert active.dtype == np.int64 and rows.dtype == np.uint64
+        assert rows.shape == (active.size, filters.packed.shape[1])
+        assert (np.diff(active) > 0).all()
+        assert rows.any(axis=1).all()
+        unpacked.append(
+            {
+                csr.vertex_at(int(index)): BitVector(
+                    width, int.from_bytes(row.tobytes(), "little")
+                )
+                for index, row in zip(active, rows)
+            }
+        )
+    return unpacked
+
+
+def edge_case_csr() -> CSRGraph:
+    """A small graph with every propagation edge case the dense path hid.
+
+    ``s`` has a self-loop, a certain arc and a p = 0 arc (never sampled);
+    ``sink`` has no out-arcs; ``iso`` has no arcs at all; the walk from
+    ``d`` dies after two steps (``d -> e -> sink``).  The p = 0 arc cannot
+    enter an :class:`UncertainGraph`, so the snapshot is built directly.
+    """
+    vertices = ("s", "a", "b", "sink", "iso", "d", "e")
+    out = {
+        "s": [("s", 0.3), ("a", 1.0), ("b", 0.5), ("d", 0.0)],
+        "a": [("sink", 1.0), ("b", 0.4)],
+        "b": [("a", 0.7), ("s", 0.2), ("b", 1.0)],
+        "sink": [],
+        "iso": [],
+        "d": [("e", 1.0)],
+        "e": [("sink", 1.0)],
+    }
+    index = {vertex: position for position, vertex in enumerate(vertices)}
+    indptr = np.cumsum([0] + [len(out[vertex]) for vertex in vertices])
+    arcs = [arc for vertex in vertices for arc in out[vertex]]
+    return CSRGraph(
+        indptr,
+        np.array([index[target] for target, _ in arcs], dtype=np.int64),
+        np.array([probability for _, probability in arcs]),
+        vertices,
+    )
+
+
+class TestSparsePropagationOracle:
+    """Frontier-sparse propagation and meeting == the BitVector oracle, bit
+    for bit, on the graphs where a sparse frontier differs most from a
+    dense table."""
+
+    @staticmethod
+    def zoo():
+        csr = edge_case_csr()
+        graph = rmat_uncertain(60, 150, rng=8)  # sparse R-MAT: many sinks
+        return [(CSRGraphView(csr), csr), (graph, CSRGraph.from_uncertain(graph))]
+
+    @pytest.mark.parametrize("num_walks", [1, 64, 700])
+    def test_tables_match_oracle(self, num_walks):
+        for graph, csr in self.zoo():
+            filters = FilterVectors(graph, num_walks, rng=num_walks, csr=csr)
+            for source in csr.vertices:
+                packed = propagate_packed_tables(source, 5, filters)
+                oracle = propagate_counting_tables(graph, source, 5, filters)
+                assert unpack_tables(packed, filters) == oracle, source
+
+    def test_edge_cases_shape_the_frontier(self):
+        csr = edge_case_csr()
+        filters = FilterVectors(CSRGraphView(csr), 700, rng=2, csr=csr)
+        iso = propagate_packed_tables("iso", 3, filters)
+        assert [active.size for active, _ in iso.steps] == [1, 0, 0, 0]
+        dying = propagate_packed_tables("d", 4, filters)
+        assert [active.size for active, _ in dying.steps] == [1, 1, 1, 0, 0]
+        # The p = 0 arc s -> d is never taken, so d is unreachable from s.
+        from_s = propagate_packed_tables("s", 4, filters)
+        d = csr.index_of("d")
+        assert all(d not in active for active, _ in from_s.steps)
+        assert propagate_packed_tables("s", 0, filters).nbytes > 0
+
+    @pytest.mark.parametrize("shared_filters", [False, True])
+    def test_meetings_match_oracle(self, shared_filters):
+        for graph, csr in self.zoo():
+            filters_u = FilterVectors(graph, 700, rng=5, csr=csr)
+            filters_v = filters_u if shared_filters else FilterVectors(graph, 700, rng=6, csr=csr)
+            vertices = list(csr.vertices)
+            for u, v in zip(vertices, vertices[3:] + vertices[:3]):
+                oracle = meeting_probabilities_from_tables(
+                    propagate_counting_tables(graph, u, 5, filters_u),
+                    propagate_counting_tables(graph, v, 5, filters_v),
+                    700, u, v,
+                )
+                packed = packed_meeting_probabilities(
+                    propagate_packed_tables(u, 5, filters_u),
+                    propagate_packed_tables(v, 5, filters_v),
+                    700, u, v,
+                )
+                assert packed == oracle, (u, v)
+
+    @pytest.mark.parametrize("shared_filters", [False, True])
+    def test_engine_matches_oracle(self, shared_filters):
+        graph = rmat_uncertain(60, 150, rng=8)
+        engine = SimRankEngine(graph, iterations=5, num_walks=700, seed=4)
+        filters_u = engine.filters
+        filters_v = filters_u if shared_filters else engine.filters_v
+        vertices = list(graph.vertices())
+        pairs = list(zip(vertices[:20], vertices[5:25]))
+        results = engine.similarity_many(
+            pairs, method="speedup", exact_prefix=0, shared_filters=shared_filters
+        )
+        for (u, v), result in zip(pairs, results):
+            oracle = meeting_probabilities_from_tables(
+                propagate_counting_tables(graph, u, 5, filters_u),
+                propagate_counting_tables(graph, v, 5, filters_v),
+                700, u, v,
+            )
+            assert list(result.meeting_probabilities) == oracle, (u, v)
+
+    def test_table_mismatch_rejected(self, paper_graph):
+        filters = FilterVectors(paper_graph, 64, rng=1)
+        with pytest.raises(InvalidParameterError):
+            packed_meeting_probabilities(
+                propagate_packed_tables("v1", 2, filters),
+                propagate_packed_tables("v2", 3, filters),
+                64, "v1", "v2",
+            )
+        with pytest.raises(InvalidParameterError):
+            propagate_packed_tables("nope", 2, filters)
+        with pytest.raises(InvalidParameterError):
+            propagate_packed_tables("v1", -1, filters)
 
 
 class TestMeetingFromMatrices:

@@ -77,32 +77,6 @@ class TestCaching:
         assert len(seen) >= 4
 
 
-class TestCscGroups:
-    def test_groups_cover_in_arcs(self, paper_graph):
-        csr = CSRGraph.from_uncertain(paper_graph)
-        permutation, starts, targets = csr.csc_groups()
-        assert permutation.shape[0] == csr.num_arcs
-        sources = csr.arc_sources()[permutation]
-        destinations = csr.indices[permutation]
-        boundaries = list(starts) + [csr.num_arcs]
-        for group, target in enumerate(targets):
-            segment = slice(boundaries[group], boundaries[group + 1])
-            assert (destinations[segment] == target).all()
-            in_neighbors = {
-                csr.vertex_at(int(s)) for s in sources[segment]
-            }
-            assert in_neighbors == set(paper_graph.in_neighbors(csr.vertex_at(int(target))))
-
-    def test_probabilities_permute_consistently(self, paper_graph):
-        csr = CSRGraph.from_uncertain(paper_graph)
-        permutation, _, _ = csr.csc_groups()
-        sources = csr.arc_sources()
-        for arc in permutation:
-            u = csr.vertex_at(int(sources[arc]))
-            v = csr.vertex_at(int(csr.indices[arc]))
-            assert paper_graph.probability(u, v) == pytest.approx(csr.probs[arc])
-
-
 class TestIncrementalRebuild:
     def _assert_snapshots_equal(self, left: CSRGraph, right: CSRGraph) -> None:
         assert left.vertices == right.vertices

@@ -3,17 +3,20 @@
 Covers the registry and the uniform override declarations, the batched
 shared-prefix stages of the exact-path executors (bit-identity to the
 per-pair algorithms), the keyed walk source (bit-identity to the sharded
-sampler), and the batching-never-changes-answers property every vectorized
-executor now has.
+sampler), the batching-never-changes-answers property every vectorized
+executor now has, and the snapshot-scoped SR-SP table store.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import repro.core.executors as executors
 from repro.core.baseline import baseline_simrank
 from repro.core.engine import SimRankEngine
 from repro.core.executors import (
@@ -24,8 +27,18 @@ from repro.core.executors import (
     executor_for,
     make_executor,
 )
+from repro.core.speedup import (
+    FilterVectors,
+    meeting_probabilities_from_tables,
+    propagate_counting_tables,
+)
 from repro.graph.csr import CSRGraph, CSRGraphView
-from repro.service import ShardedWalkSampler, WalkBundleStore
+from repro.service import (
+    MutationLog,
+    ShardedWalkSampler,
+    SimilarityService,
+    WalkBundleStore,
+)
 from repro.utils.errors import InvalidParameterError
 
 
@@ -258,3 +271,182 @@ class TestEngineCachesDeterminism:
         misses = store.stats.misses
         engine.similarity_many([("v1", "v2"), ("v2", "v3")], method="two_phase")
         assert store.stats.misses == misses  # SR-TS tail reuses the same bundles
+
+
+class TestSpeedupTableStore:
+    """The snapshot-scoped SR-SP table store: hits across batches, never
+    stale, bypassed by explicit filters, and bit-identical either way."""
+
+    PAIRS = [("v1", "v2"), ("v2", "v3"), ("v1", "v3"), ("v4", "v4")]
+
+    @staticmethod
+    def count_propagations(monkeypatch) -> list:
+        calls: list = []
+        original = executors.propagate_packed_tables
+
+        def counted(source, steps, filters):
+            calls.append(source)
+            return original(source, steps, filters)
+
+        monkeypatch.setattr(executors, "propagate_packed_tables", counted)
+        return calls
+
+    @staticmethod
+    def meetings(results) -> list:
+        return [tuple(result.meeting_probabilities) for result in results]
+
+    @staticmethod
+    def oracle(graph, pairs, filters_u, filters_v, steps) -> list:
+        return [
+            tuple(
+                meeting_probabilities_from_tables(
+                    propagate_counting_tables(graph, u, steps, filters_u),
+                    propagate_counting_tables(graph, v, steps, filters_v),
+                    filters_u.num_processes, u, v,
+                )
+            )
+            for u, v in pairs
+        ]
+
+    def test_repeated_batch_hits_store_bit_identically(self, paper_graph, monkeypatch):
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=200, seed=5)
+        calls = self.count_propagations(monkeypatch)
+        first = engine.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        sides = {(u, 0) for u, _ in self.PAIRS} | {(v, 1) for _, v in self.PAIRS}
+        assert len(calls) == len(sides)
+        second = engine.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        assert len(calls) == len(sides)  # every table came from the store
+        stats = engine.caches.speedup_tables.cache_stats()
+        assert stats["hits"] == stats["misses"] == len(sides)
+        assert stats["bytes"] > 0
+        assert self.meetings(second) == self.meetings(first)
+        cold = SimRankEngine(paper_graph, iterations=4, num_walks=200, seed=5)
+        assert self.meetings(first) == self.meetings(
+            cold.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        )
+        assert self.meetings(first) == self.oracle(
+            paper_graph, self.PAIRS, engine.filters, engine.filters_v, 4
+        )
+
+    def test_filter_rebuild_never_serves_stale_tables(self, paper_graph):
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=200, seed=5)
+        before = engine.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        engine.caches.rebuild_filter_pair(200)
+        after = engine.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        assert self.meetings(after) != self.meetings(before)
+        assert self.meetings(after) == self.oracle(
+            paper_graph, self.PAIRS, engine.filters, engine.filters_v, 4
+        )
+        assert engine.caches.speedup_tables.cache_stats()["hits"] == 0
+
+    @pytest.mark.parametrize(
+        "override", ["filters", "filters_v", "shared_filters"]
+    )
+    def test_explicit_filters_bypass_store(self, paper_graph, override):
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=200, seed=5)
+        explicit = FilterVectors(paper_graph, 200, rng=21)
+        value = True if override == "shared_filters" else explicit
+        for _ in range(2):
+            results = engine.similarity_many(
+                self.PAIRS, method="speedup", exact_prefix=0, **{override: value}
+            )
+        filters_u = explicit if override == "filters" else engine.filters
+        filters_v = {
+            "filters": engine.filters_v,
+            "filters_v": explicit,
+            "shared_filters": engine.filters,
+        }[override]
+        assert self.meetings(results) == self.oracle(
+            paper_graph, self.PAIRS, filters_u, filters_v, 4
+        )
+        assert engine.caches.speedup_tables.cache_stats() == {
+            "hits": 0, "misses": 0, "evictions": 0, "bytes": 0
+        }
+
+    def test_mutation_uses_new_epoch_store(self, paper_graph):
+        graph = paper_graph.copy()
+        frozen = graph.copy()
+        pairs = [("v1", "v2"), ("v2", "v3")]
+        with SimilarityService(graph, iterations=4, num_walks=200, seed=5) as service:
+            service.pair("v1", "v2", method="speedup")
+            tenant = service.tenant()
+            with tenant.pin_epoch() as lease:
+                old_store = lease.snapshot.caches.speedup_tables
+                service.mutate(MutationLog().add_edge("v1", "v2", 0.9))
+                pinned = make_executor("speedup", lease.snapshot).run_batch(pairs)
+            service.pair("v1", "v2", method="speedup")
+            new_store = tenant.engine.caches.speedup_tables
+            assert new_store is not old_store
+            assert new_store.cache_stats()["misses"] > 0
+            assert new_store.cache_stats()["hits"] == 0
+            served = [service.pair(u, v, method="speedup") for u, v in pairs]
+        standalone = SimRankEngine(frozen, iterations=4, num_walks=200, seed=5)
+        assert [r.score for r in pinned] == [
+            standalone.similarity(u, v, method="speedup").score for u, v in pairs
+        ]
+        graph_now = frozen.copy()
+        graph_now.add_arc("v1", "v2", 0.9)
+        current = SimRankEngine(graph_now, iterations=4, num_walks=200, seed=5)
+        assert [r.score for r in served] == [
+            current.similarity(u, v, method="speedup").score for u, v in pairs
+        ]
+        assert [r.score for r in served] != [r.score for r in pinned]
+
+    def test_tiny_budget_evicts_and_answers_identically(self, paper_graph, monkeypatch):
+        monkeypatch.setattr(executors, "SPEEDUP_TABLE_BUDGET_BYTES", 4096)
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=700, seed=5)
+        first = engine.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        second = engine.similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        store = engine.caches.speedup_tables
+        assert store.budget_bytes == 4096
+        assert store.cache_stats()["evictions"] > 0
+        assert store.current_bytes <= 4096
+        assert self.meetings(first) == self.meetings(second) == self.oracle(
+            paper_graph, self.PAIRS, engine.filters, engine.filters_v, 4
+        )
+
+    def test_concurrent_readers_share_store_without_lost_updates(
+        self, paper_graph, monkeypatch
+    ):
+        """More reader threads than cores hammer one snapshot's store under
+        eviction pressure: every answer stays exact, and the counters and
+        byte accounting lose no update."""
+        monkeypatch.setattr(executors, "SPEEDUP_TABLE_BUDGET_BYTES", 2048)
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=300, seed=5)
+        expected = self.meetings(
+            SimRankEngine(paper_graph, iterations=4, num_walks=300, seed=5)
+            .similarity_many(self.PAIRS, method="speedup", exact_prefix=0)
+        )
+        snapshot = engine.snapshot()
+        lookups_per_batch = len(
+            {(u, 0) for u, _ in self.PAIRS} | {(v, 1) for _, v in self.PAIRS}
+        )
+        threads, rounds = 6, 15
+        failures: list = []
+
+        def reader() -> None:
+            for _ in range(rounds):
+                results = make_executor("speedup", snapshot).run_batch(
+                    self.PAIRS, {"exact_prefix": 0}
+                )
+                if self.meetings(results) != expected:
+                    failures.append(results)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=reader) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+        store = engine.caches.speedup_tables
+        stats = store.cache_stats()
+        assert stats["hits"] + stats["misses"] == threads * rounds * lookups_per_batch
+        assert stats["evictions"] > 0
+        assert stats["bytes"] == sum(value.nbytes for value in store._entries.values())
+        assert stats["bytes"] <= 2048

@@ -18,7 +18,6 @@ import pytest
 
 import repro.core.batch_walks as batch_walks
 from repro.core.batch_walks import (
-    KEYED_CHUNK_MIN_ROWS,
     endpoint_world_keys,
     sample_walk_matrix_keyed,
     shard_world_keys,
@@ -31,6 +30,7 @@ from repro.core.kernels import (
     DENSE_MAX_COLS,
     KERNEL,
     NUMPY_CHUNK_MAX_ROWS,
+    NUMPY_CHUNK_MIN_ROWS,
     NumpyKernel,
     ReferenceKernel,
     default_kernel_name,
@@ -137,7 +137,7 @@ class TestKernelResolution:
         csr = GRAPHS["sparse"]
         assert resolve_chunk_rows(csr, 5, 17) == 17
         rows = resolve_chunk_rows(csr, 5, None)
-        assert rows >= KEYED_CHUNK_MIN_ROWS
+        assert NUMPY_CHUNK_MIN_ROWS <= rows <= NUMPY_CHUNK_MAX_ROWS
         with pytest.raises(InvalidParameterError, match="chunk_rows"):
             resolve_chunk_rows(csr, 5, 0)
 

@@ -313,7 +313,9 @@ class TestServiceIntegration:
         with SimilarityService(example_graph(), num_walks=50, seed=7) as service:
             service.top_k_for_vertex("v1", k=3)
             caches = service.service_stats()["tenants"]["default"]["caches"]
-        assert set(caches) == {"walk_bundles", "topk_indexes", "transitions"}
+        assert set(caches) == {
+            "walk_bundles", "topk_indexes", "transitions", "speedup_tables"
+        }
         for name, shape in caches.items():
             assert set(shape) == {"hits", "misses", "evictions", "bytes"}, name
             assert all(value >= 0 for value in shape.values()), name

@@ -4,11 +4,11 @@ Usage::
 
     python -m repro.experiments <experiment> [--quick]
 
-where ``<experiment>`` is one of ``datasets``, ``measures``, ``convergence``,
-``efficiency``, ``accuracy``, ``param-n``, ``scalability``, ``service``,
-``tenancy``, ``epoch``, ``methods``, ``kernels``, ``topk_index``, ``obs``, ``qos``,
-``case-ppi``, ``case-er`` or ``all``.  ``--quick`` shrinks the workload (fewer pairs,
-smaller sample sizes) so a full pass finishes in a couple of minutes.
+where ``<experiment>`` is one of the paper-figure harnesses ``datasets``,
+``measures``, ``convergence``, ``efficiency``, ``accuracy``, ``param-n``,
+``scalability``, ``case-ppi``, ``case-er`` or ``all``.  ``--quick`` shrinks the
+workload (fewer pairs, smaller sample sizes) so a full pass finishes in a
+couple of minutes.
 """
 
 from __future__ import annotations
@@ -30,24 +30,12 @@ from repro.experiments.convergence import (
     run_convergence_experiment,
 )
 from repro.experiments.efficiency import format_efficiency_results, run_efficiency_experiment
-from repro.experiments.epoch import format_epoch_results, run_epoch_experiment
 from repro.experiments.measures import format_measures_results, run_measures_experiment
-from repro.experiments.kernels import format_kernels_results, run_kernels_experiment
-from repro.experiments.methods import format_methods_results, run_methods_experiment
-from repro.experiments.obs import format_obs_results, run_obs_experiment
 from repro.experiments.param_n import format_param_n_results, run_param_n_experiment
-from repro.experiments.qos import format_qos_results, run_qos_experiment
 from repro.experiments.report import format_dataset_summary
 from repro.experiments.scalability import (
     format_scalability_results,
-    format_service_topk_results,
     run_scalability_experiment,
-    run_service_topk_experiment,
-)
-from repro.experiments.tenancy import format_tenancy_results, run_tenancy_experiment
-from repro.experiments.topk_index import (
-    format_topk_index_results,
-    run_topk_index_experiment,
 )
 
 
@@ -103,91 +91,6 @@ def _run_scalability(quick: bool) -> str:
     return format_scalability_results(results)
 
 
-def _run_service(quick: bool) -> str:
-    results = run_service_topk_experiment(
-        edge_counts=(1500,) if quick else (1500, 4500, 7500),
-        num_queries=2 if quick else 3,
-        num_candidates=60 if quick else 150,
-        num_walks=300 if quick else 1000,
-    )
-    return format_service_topk_results(results)
-
-
-def _run_methods(quick: bool) -> str:
-    result = run_methods_experiment(
-        num_vertices=200 if quick else 400,
-        num_edges=600 if quick else 1600,
-        num_endpoints=8 if quick else 14,
-        num_walks=150 if quick else 400,
-    )
-    return format_methods_results(result)
-
-
-def _run_epoch(quick: bool) -> str:
-    result = run_epoch_experiment(
-        num_vertices=300 if quick else 600,
-        num_edges=1200 if quick else 2400,
-        ops_per_round=1000 if quick else 2000,
-        num_rounds=4 if quick else 10,
-        queries_per_round=12,
-        num_walks=150 if quick else 300,
-    )
-    return format_epoch_results(result)
-
-
-def _run_tenancy(quick: bool) -> str:
-    result = run_tenancy_experiment(
-        num_tenants=3,
-        num_vertices=150 if quick else 300,
-        num_edges=450 if quick else 900,
-        num_rounds=3 if quick else 6,
-        queries_per_round=6 if quick else 12,
-        num_walks=150 if quick else 300,
-    )
-    return format_tenancy_results(result)
-
-
-def _run_obs(quick: bool) -> str:
-    result = run_obs_experiment(
-        num_vertices=200 if quick else 300,
-        num_edges=800 if quick else 1200,
-        num_queries=20 if quick else 40,
-        num_walks=150 if quick else 200,
-        repeats=3 if quick else 5,
-    )
-    return format_obs_results(result)
-
-
-def _run_qos(quick: bool) -> str:
-    result = run_qos_experiment(
-        num_vertices=150 if quick else 300,
-        num_edges=600 if quick else 1200,
-        num_walks=256 if quick else 512,
-        quiet_queries=15 if quick else 30,
-        hot_queries=60 if quick else 120,
-    )
-    return format_qos_results(result)
-
-
-def _run_kernels(quick: bool) -> str:
-    result = run_kernels_experiment(
-        num_vertices=600,
-        num_edges=1500 if quick else 6000,
-        rows=20_000 if quick else 60_000,
-        repeats=3 if quick else 5,
-    )
-    return format_kernels_results(result)
-
-
-def _run_topk_index(quick: bool) -> str:
-    results = run_topk_index_experiment(
-        edge_counts=(1500,) if quick else (1500, 4500, 7500),
-        num_queries=2 if quick else 3,
-        num_walks=200 if quick else 400,
-    )
-    return format_topk_index_results(results)
-
-
 def _run_case_ppi(quick: bool) -> str:
     result = run_ppi_case_study(k=10 if quick else 20, num_walks=200 if quick else 400)
     return format_ppi_case_study(result)
@@ -215,14 +118,6 @@ EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
     "accuracy": _run_accuracy,
     "param-n": _run_param_n,
     "scalability": _run_scalability,
-    "service": _run_service,
-    "tenancy": _run_tenancy,
-    "epoch": _run_epoch,
-    "methods": _run_methods,
-    "kernels": _run_kernels,
-    "topk_index": _run_topk_index,
-    "obs": _run_obs,
-    "qos": _run_qos,
     "case-ppi": _run_case_ppi,
     "case-er": _run_case_er,
 }

@@ -44,7 +44,6 @@ from repro.service.epoch import (
 )
 from repro.service.qos import AdmissionController, OverloadedError, TokenBucket
 from repro.service.service import (
-    INGEST_MODES,
     PairQuery,
     SimilarityService,
     TopKPairsQuery,
@@ -74,7 +73,6 @@ __all__ = [
     "AdmissionController",
     "OverloadedError",
     "TokenBucket",
-    "INGEST_MODES",
     "PairQuery",
     "SimilarityService",
     "TopKPairsQuery",

@@ -104,7 +104,6 @@ from repro.graph.uncertain_graph import UncertainGraph, example_graph
 from repro.obs import Observability
 from repro.service.bundle_store import DEFAULT_BUDGET_BYTES
 from repro.service.service import (
-    INGEST_MODES,
     PairQuery,
     SimilarityService,
     TopKPairsQuery,
@@ -112,6 +111,7 @@ from repro.service.service import (
 )
 from repro.service.sharding import DEFAULT_SHARD_SIZE, EXECUTORS
 from repro.service.tenancy import MutationLog, TenantConfig
+from repro.utils.errors import InvalidParameterError
 
 #: Request ops handled synchronously, as barriers between query runs.
 CONTROL_OPS = ("create_graph", "mutate", "drop_graph", "stats", "metrics")
@@ -380,14 +380,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
         "bit-identical for every value)",
     )
     parser.add_argument(
-        "--ingest-mode",
-        choices=INGEST_MODES,
-        default="epoch",
-        help="'epoch' (default): mutations apply on the writer thread and "
-        "publish snapshots without stalling queries; 'serialized': the "
-        "pre-epoch inline path",
-    )
-    parser.add_argument(
         "--max-num-walks",
         type=int,
         default=None,
@@ -477,6 +469,14 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
         print(f"error: could not load graph: {error}", file=stderr)
         return 2
 
+    for flag, megabytes in (
+        ("--store-budget-mb", args.store_budget_mb),
+        ("--topk-index-budget-mb", args.topk_index_budget_mb),
+    ):
+        if megabytes is not None and megabytes < 0:
+            print(f"error: {flag} must be >= 0, got {megabytes:g}", file=stderr)
+            return 2
+
     if args.input == "-":
         lines = stdin.read().splitlines()
     else:
@@ -508,30 +508,37 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
         trace_sink=trace_sink,
     )
 
+    try:
+        service = SimilarityService(
+            graph,
+            decay=args.decay,
+            iterations=args.iterations,
+            num_walks=args.num_walks,
+            seed=args.seed,
+            shard_size=args.shard_size,
+            num_workers=args.workers,
+            executor=args.executor,
+            store_budget_bytes=budget,
+            read_workers=args.read_workers,
+            max_num_walks=args.max_num_walks,
+            max_qps=args.max_qps,
+            max_inflight=args.max_inflight,
+            max_queue_depth=args.max_queue_depth,
+            degrade_queue_depth=args.degrade_queue_depth,
+            degrade_fraction=args.degrade_fraction,
+            verify_mutations=args.verify_mutations,
+            use_topk_index=not args.no_topk_index,
+            obs=obs,
+            **index_kwargs,
+        )
+    except InvalidParameterError as error:
+        if trace_handle is not None:
+            trace_handle.close()
+        print(f"error: {error}", file=stderr)
+        return 2
+
     responses: List[str] = []
-    with SimilarityService(
-        graph,
-        decay=args.decay,
-        iterations=args.iterations,
-        num_walks=args.num_walks,
-        seed=args.seed,
-        shard_size=args.shard_size,
-        num_workers=args.workers,
-        executor=args.executor,
-        store_budget_bytes=budget,
-        read_workers=args.read_workers,
-        ingest_mode=args.ingest_mode,
-        max_num_walks=args.max_num_walks,
-        max_qps=args.max_qps,
-        max_inflight=args.max_inflight,
-        max_queue_depth=args.max_queue_depth,
-        degrade_queue_depth=args.degrade_queue_depth,
-        degrade_fraction=args.degrade_fraction,
-        verify_mutations=args.verify_mutations,
-        use_topk_index=not args.no_topk_index,
-        obs=obs,
-        **index_kwargs,
-    ) as service:
+    with service:
         # (record, query, future-or-error) triples of the current query run;
         # control ops flush the run so responses keep stream order and every
         # query before a mutation is answered on the pre-mutation graph.

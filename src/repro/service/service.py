@@ -32,10 +32,7 @@ thread that publishes the successor epoch atomically.  Submission order is
 still honoured per tenant: a query submitted *after* a mutation waits for
 that mutation's epoch (a per-tenant barrier), while queries submitted
 before it — and all queries of *other* tenants — proceed on their pinned
-epochs even while a large mutation batch is mid-apply.  Set
-``ingest_mode="serialized"`` to restore the old behaviour (mutations
-processed inline by the dispatcher, stalling every tenant's queries behind
-ingest) — kept as the comparison baseline of the epoch experiment.
+epochs even while a large mutation batch is mid-apply.
 
 Because all executor randomness is keyed — walk bundles from ``(seed,
 vertex, twin, shard)`` world keys, SR-SP filters from per-walk-count seed
@@ -110,10 +107,6 @@ from repro.utils.errors import InvalidParameterError
 Vertex = Hashable
 ScoredPair = Tuple[Vertex, Vertex, float]
 ScoredVertex = Tuple[Vertex, float]
-
-#: How mutation ingest is scheduled relative to query batches.
-INGEST_MODES = ("epoch", "serialized")
-
 
 class TopKResult(list):
     """A ranked top-k answer plus the epoch that produced it.
@@ -265,7 +258,7 @@ class _MutationItem:
     graph: str
     log: MutationLog
     future: "Future"
-    barrier: Optional["Future"] = None
+    barrier: "Future" = field(default_factory=Future)
     trace: Optional[QueryTrace] = None
     submitted: float = 0.0
 
@@ -428,11 +421,6 @@ class SimilarityService:
         Size of the read pool answering dispatched tenant batches.  Results
         are bit-identical for every value; larger pools let batches of
         different tenants (or consecutive batches of one tenant) overlap.
-    ingest_mode:
-        ``"epoch"`` (default): mutations run on the dedicated writer thread
-        and publish epochs without blocking queries.  ``"serialized"``: the
-        dispatcher applies mutations inline, stalling all queries behind
-        ingest — the pre-epoch behaviour, kept as an A/B baseline.
     registry:
         Host an existing :class:`~repro.service.tenancy.GraphRegistry`
         instead of (exclusive with) ``graph``.  The registry is *not* closed
@@ -468,7 +456,6 @@ class SimilarityService:
         max_batch_size: int = 64,
         batch_wait_seconds: float = 0.002,
         read_workers: int = 1,
-        ingest_mode: str = "epoch",
         max_num_walks: Optional[int] = None,
         max_qps: Optional[float] = None,
         max_inflight: Optional[int] = None,
@@ -493,10 +480,6 @@ class SimilarityService:
         if read_workers < 1:
             raise InvalidParameterError(
                 f"read_workers must be >= 1, got {read_workers}"
-            )
-        if ingest_mode not in INGEST_MODES:
-            raise InvalidParameterError(
-                f"unknown ingest_mode {ingest_mode!r}; expected one of {INGEST_MODES}"
             )
         if (graph is None) == (registry is None):
             raise InvalidParameterError(
@@ -543,7 +526,6 @@ class SimilarityService:
         self.max_batch_size = max_batch_size
         self.batch_wait_seconds = batch_wait_seconds
         self.read_workers = int(read_workers)
-        self.ingest_mode = ingest_mode
         self.use_topk_index = bool(use_topk_index)
         self.degrade_queue_depth = (
             int(degrade_queue_depth) if degrade_queue_depth is not None else None
@@ -838,7 +820,6 @@ class SimilarityService:
         """
         stats: Dict[str, object] = self.stats.snapshot()
         stats["read_workers"] = self.read_workers
-        stats["ingest_mode"] = self.ingest_mode
         stats["use_topk_index"] = self.use_topk_index
         # Instantaneous queue depths: work accepted but not yet started.
         # qsize() is approximate under concurrency, which is fine for
@@ -872,9 +853,8 @@ class SimilarityService:
 
         Mutations end the batch being coalesced (per-tenant ordering: the
         batch's queries were submitted first, so its epochs are pinned
-        *before* the mutation is routed) and are then either forwarded to
-        the writer thread (``ingest_mode="epoch"``) or applied inline
-        (``"serialized"``).
+        *before* the mutation is routed) and are then forwarded to the
+        writer thread.
         """
         shutdown = False
         while not shutdown:
@@ -911,15 +891,9 @@ class SimilarityService:
                 self._route_mutation(trailing)
 
     def _route_mutation(self, item: _MutationItem) -> None:
-        if self.ingest_mode == "serialized":
-            # The pre-epoch path: apply inline, stalling the dispatcher (and
-            # with it every tenant's queries) for the duration of the apply.
-            self._process_mutation(item)
-            return
         # The barrier is service-owned, never handed to clients: it resolves
         # exactly when the writer finishes this apply, even if the client
         # cancelled or dropped its own Future mid-flight.
-        item.barrier = Future()
         self._barriers[item.graph] = item.barrier
         self._writer_queue.put(item)
 
@@ -950,8 +924,7 @@ class SimilarityService:
             # Barrier semantics, not result semantics: it marks "this ingest
             # is no longer in flight" for queries ordered behind it, on
             # success and failure alike.
-            if item.barrier is not None:
-                _resolve(item.barrier, result=None)
+            _resolve(item.barrier, result=None)
         self._finish_mutation(item)
         _resolve(item.future, result=report)
 

@@ -26,14 +26,6 @@ class TestCLI:
             "accuracy",
             "param-n",
             "scalability",
-            "service",
-            "tenancy",
-            "epoch",
-            "methods",
-            "kernels",
-            "topk_index",
-            "obs",
-            "qos",
             "case-ppi",
             "case-er",
         } == set(EXPERIMENTS)
@@ -150,6 +142,34 @@ class TestRunnerErrorPaths:
         for forbidden in ("code", "retry_after_ms", "degraded", "ci_low",
                           "walks_used"):
             assert forbidden not in response
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--read-workers", "0"),
+            ("--num-walks", "0"),
+            ("--degrade-fraction", "2"),
+            ("--shard-size", "0"),
+            ("--store-budget-mb", "-1"),
+            ("--topk-index-budget-mb", "-1"),
+        ],
+    )
+    def test_invalid_service_flag_exits_2_with_one_line(self, tmp_path, flag, value):
+        """A bad service flag is a usage error: exit code 2 and one
+        ``error:`` line on stderr, never a traceback or a response."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = run(
+            ["--graph", "example", flag, value,
+             "--trace-out", str(tmp_path / "trace.jsonl")],
+            stdin=io.StringIO('{"op": "pair", "u": "v1", "v": "v2"}\n'),
+            stdout=stdout,
+            stderr=stderr,
+        )
+        assert code == 2
+        assert stdout.getvalue() == ""
+        (line,) = stderr.getvalue().splitlines()
+        assert line.startswith("error: ") and "Traceback" not in line
+        assert value in line and "1048576" not in line
 
 
 class TestExamples:

@@ -10,6 +10,7 @@ epoch is freed once its readers drain.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -341,8 +342,6 @@ class TestReadPool:
     def test_invalid_read_workers_rejected(self, paper_graph):
         with pytest.raises(InvalidParameterError):
             SimilarityService(paper_graph, read_workers=0)
-        with pytest.raises(InvalidParameterError):
-            SimilarityService(paper_graph, ingest_mode="psychic")
 
     def test_service_stats_surface_epochs_and_pool(self, paper_graph):
         with SimilarityService(
@@ -351,7 +350,6 @@ class TestReadPool:
             service.pair("v1", "v2")
             stats = service.service_stats()
         assert stats["read_workers"] == 2
-        assert stats["ingest_mode"] == "epoch"
         epochs = stats["tenants"]["default"]["epochs"]
         assert epochs["published"] >= 1
         assert epochs["live"] == 1
@@ -548,8 +546,6 @@ class TestConcurrentIngestStress:
         later queries; the barrier wait must treat the cancellation as
         'done' (CancelledError is a BaseException) instead of letting it
         kill the read task and strand every query behind it."""
-        import time
-
         log = MutationLog()
         for index in range(300):
             log.add_edge("v1", f"bulk-{index}", 0.5)
@@ -603,6 +599,62 @@ class TestConcurrentIngestStress:
                     == baseline.details["graph_version"]
                 )
         registry.close()
+
+    def test_other_tenant_answers_while_apply_is_blocked(self):
+        """Readers never wait on ingest: while one tenant's apply is held
+        mid-flight, another tenant's query answers at once from its pinned
+        epoch, and only the mutated tenant's later queries park on the
+        per-tenant barrier."""
+        registry = GraphRegistry()
+        registry.create("ingest", example_graph(), num_walks=60, seed=1)
+        registry.create("serve", example_graph(), num_walks=60, seed=2)
+        tenant = registry.get("ingest")
+        original_apply = tenant.apply
+        entered = threading.Event()
+        release = threading.Event()
+
+        def blocked_apply(log, verify=False):
+            entered.set()
+            release.wait()
+            return original_apply(log, verify=verify)
+
+        tenant.apply = blocked_apply
+        with SimilarityService(
+            registry=registry,
+            default_graph="serve",
+            read_workers=STRESS_READ_WORKERS,
+            batch_wait_seconds=0.0005,
+        ) as service:
+            before_serve = service.pair("v1", "v2", graph="serve")
+            before_ingest = service.pair("v1", "v2", graph="ingest")
+            try:
+                mutation = service.submit_mutations(
+                    MutationLog().add_edge("v1", "blocked", 0.5), graph="ingest"
+                )
+                assert entered.wait(timeout=5)
+                parked = service.submit(PairQuery("v1", "v2", graph="ingest"))
+                served = service.submit(
+                    PairQuery("v1", "v2", graph="serve")
+                ).result(timeout=5)
+                assert served.score == before_serve.score
+                assert (
+                    served.details["graph_version"]
+                    == before_serve.details["graph_version"]
+                )
+                time.sleep(0.05)
+                assert not parked.done()
+            finally:
+                release.set()
+            after = parked.result(timeout=30)
+            assert mutation.result(timeout=30).ops == 1
+            assert (
+                after.details["graph_version"]
+                > before_ingest.details["graph_version"]
+            )
+        stats = tenant.epochs.stats()
+        registry.close()
+        assert stats["live"] == 1, stats
+        assert stats["pinned"] == 0, stats
 
 
 @pytest.mark.watchdog(180)
@@ -881,7 +933,6 @@ class TestRunnerEpochSurface:
         assert code == 0
         stats = responses[1]["stats"]
         assert stats["read_workers"] == 3
-        assert stats["ingest_mode"] == "epoch"
         epochs = stats["tenants"]["default"]["epochs"]
         assert epochs == {
             "current": 1,

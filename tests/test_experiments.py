@@ -158,68 +158,6 @@ class TestScalabilityExperiment:
         assert "realised |E|" in text
 
 
-class TestTenancyExperiment:
-    def test_mixed_workload_structure(self):
-        from repro.experiments.tenancy import (
-            format_tenancy_results,
-            run_tenancy_experiment,
-        )
-
-        result = run_tenancy_experiment(
-            num_tenants=3,
-            num_vertices=80,
-            num_edges=240,
-            num_rounds=3,
-            queries_per_round=3,
-            mutations_per_round=3,
-            num_walks=60,
-            iterations=3,
-            seed=5,
-        )
-        assert result.tenants == ["tenant-0", "tenant-1", "tenant-2"]
-        assert len(result.rounds) == 3
-        # Round-robin mutation: every tenant ingests exactly once.
-        assert [r.mutated_tenant for r in result.rounds] == result.tenants
-        for entry in result.rounds:
-            assert entry.mutation_ops == 3
-            assert entry.dirty_rows >= 1
-            assert entry.mean_query_ms > 0.0
-        assert set(result.hit_rates) == set(result.tenants)
-        text = format_tenancy_results(result)
-        assert "full re-freeze" in text and "hit rates" in text
-
-
-class TestMethodsExperiment:
-    def test_structure_and_bit_identity(self):
-        from repro.experiments.methods import (
-            format_methods_results,
-            run_methods_experiment,
-        )
-
-        result = run_methods_experiment(
-            num_vertices=60,
-            num_edges=150,
-            num_endpoints=5,
-            iterations=3,
-            exact_prefix=1,
-            num_walks=60,
-            seed=5,
-        )
-        assert [run.method for run in result.runs] == [
-            "baseline",
-            "sampling",
-            "two_phase",
-            "speedup",
-        ]
-        for run in result.runs:
-            assert run.pairs == 10 and run.unique_endpoints == 5
-            assert run.per_pair_ms > 0.0 and run.batched_ms > 0.0
-            # The refactor's contract: batching never changes any answer.
-            assert run.bit_identical
-        text = format_methods_results(result)
-        assert "bit-identical" in text and "speedup" in text
-
-
 class TestPPICaseStudy:
     def test_structure_and_agreement(self):
         result = run_ppi_case_study(k=6, query_k=3, num_walks=120, seed=11)

@@ -346,6 +346,36 @@ class TestMultiTenantService:
         assert stats["store"] == tenants["a"]["store"]  # default-tenant mirror
         registry.close()
 
+    def test_round_robin_mixed_mutations_report_rows_and_hit_rates(self):
+        """Each tenant in turn ingests one add/remove/update log through the
+        service: every report counts its ops and dirty rows, and the stats
+        carry a store hit rate for every tenant."""
+        names = ("a", "b", "c")
+        registry = GraphRegistry()
+        for offset, name in enumerate(names):
+            registry.create(name, _tenant_graph(offset), num_walks=60, seed=offset)
+        with SimilarityService(registry=registry, default_graph="a") as service:
+            for name in names:
+                service.pair("v1", "v2", graph=name)
+            for offset, name in enumerate(names):
+                log = (
+                    MutationLog()
+                    .update_probability("v2", "v1", 0.45)
+                    .remove_edge("v5", "v1")
+                    .add_edge("v4", f"new-{offset}", 0.6)
+                )
+                report = service.mutate(log, graph=name)
+                assert report.ops == 3
+                assert report.dirty_rows >= 1
+                assert report.snapshot_ms >= 0.0
+                for other in names:
+                    service.pair("v1", "v2", graph=other)
+            tenants = service.service_stats()["tenants"]
+        registry.close()
+        assert set(tenants) == set(names)
+        for name in names:
+            assert 0.0 < tenants[name]["store"]["hit_rate"] <= 1.0
+
 
 class TestRunnerTenancyOps:
     def _run(self, lines, *extra_args):

@@ -42,9 +42,7 @@ def main() -> None:
     vertices = graph.vertices()
     errors: list = []
 
-    with SimilarityService(
-        graph, iterations=4, num_walks=500, seed=7, num_workers=2, executor="thread"
-    ) as service:
+    with SimilarityService(graph, iterations=4, num_walks=500, seed=7) as service:
         threads = [
             threading.Thread(target=client, args=(service, vertices, n, errors))
             for n in range(NUM_CLIENTS)

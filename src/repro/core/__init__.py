@@ -34,7 +34,7 @@ from repro.core.executors import (
     EngineCaches,
     EngineSnapshot,
     MethodExecutor,
-    SerialWalkSource,
+    WalkSource,
     executor_for,
     make_executor,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "EngineCaches",
     "EngineSnapshot",
     "MethodExecutor",
-    "SerialWalkSource",
+    "WalkSource",
     "executor_for",
     "make_executor",
     "required_sample_size",

@@ -24,12 +24,17 @@ from a second counter-based stream of ``(world_key, step)``, so every walk is
 a pure function of its world key — the keyed, shared-fingerprint scheme of
 Fogaras & Rácz (WWW 2005) that makes batching, sharding and caching
 answer-neutral.
+
+:class:`ShardedWalkSampler` is the one producer of walk bundles: the engine
+and every service tenant resolve their walk needs through it (via
+:class:`repro.core.executors.WalkSource`), and the top-k index samples its
+sketches through it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from repro.utils.errors import InvalidParameterError
 
 #: Default number of walks per shard of the keyed sampling scheme.  Part of
 #: the RNG scheme: two samplers agree bit-for-bit only if they use the same
-#: seed *and* shard size.  (Re-exported by :mod:`repro.service.sharding`.)
+#: seed *and* shard size.
 DEFAULT_SHARD_SIZE = 256
 
 #: Sentinel marking "walk already truncated" entries of a walk matrix.
@@ -59,13 +64,10 @@ def shard_world_keys(
     """The world keys of one shard — a pure function of its coordinates.
 
     This is the key-derivation rule of the deterministic sampling scheme
-    shared by every walk producer (the engine's serial
-    :class:`repro.core.executors.SerialWalkSource` and the service's
-    :class:`repro.service.sharding.ShardedWalkSampler`): the keys of shard
-    ``s`` of endpoint ``(vertex, twin)`` come from
-    ``SeedSequence(seed, spawn_key=(vertex, twin, s))``, independent of who
-    evaluates them, so bundles sampled anywhere under the same ``(seed,
-    shard_size)`` scheme are bit-identical.
+    behind :class:`ShardedWalkSampler`: the keys of shard ``s`` of endpoint
+    ``(vertex, twin)`` come from ``SeedSequence(seed, spawn_key=(vertex,
+    twin, s))``, independent of who evaluates them, so bundles sampled
+    anywhere under the same ``(seed, shard_size)`` scheme are bit-identical.
 
     Derivation is memoized (the function is pure, so cached values are the
     values): constructing a ``SeedSequence`` + ``Generator`` per shard is
@@ -98,9 +100,8 @@ def endpoint_world_keys(
     """All ``num_walks`` world keys of one endpoint bundle, shard by shard.
 
     The single place the per-bundle shard layout (including the short last
-    shard) is spelled out — every producer of the keyed scheme assembles its
-    keys through here, so the layout can never drift between the serial and
-    the sharded-parallel samplers.
+    shard) is spelled out: :meth:`ShardedWalkSampler.world_keys` assembles
+    every bundle's keys through here.
     """
     keys = np.empty(num_walks, dtype=np.uint64)
     for shard in range(-(-int(num_walks) // int(shard_size))):
@@ -155,10 +156,10 @@ def sample_walk_matrix_keyed(
     Every entry of the returned matrix is a pure function of ``(csr,
     sources[i], world_keys[i])``: the arc-existence draws come from
     the counter-based hash of :func:`_arc_uniforms` and the per-step choice
-    among instantiated arcs from :func:`_pick_uniforms`.  This is what makes
-    sharded parallel sampling bit-identical to a single-process pass — the
-    walks of any subset of rows can be computed anywhere, in any order, and
-    concatenated (see :class:`repro.service.sharding.ShardedWalkSampler`).
+    among instantiated arcs from :func:`_pick_uniforms`.  The walks of any
+    subset of rows can be computed in any order and concatenated, so mixing
+    endpoints and walk counts in one sweep never changes a bundle (see
+    :class:`ShardedWalkSampler`).
 
     ``sources`` may mix different endpoints freely, so the walk bundles of an
     entire query batch can be sampled in one vectorized sweep.
@@ -258,15 +259,112 @@ def bundle_key(
 ) -> tuple:
     """Canonical store-key *suffix* of one endpoint's walk bundle.
 
-    Every producer prefixes this with its sampling-scheme namespace,
-    ``("keyed", seed, shard_size)`` (see
-    :meth:`repro.service.sharding.ShardedWalkSampler.store_key`), so that
-    bundles drawn under different seeds or shard sizes can share one
-    :class:`~repro.service.bundle_store.WalkBundleStore` without ever being
+    :meth:`ShardedWalkSampler.store_key` prefixes this with the sampling-scheme
+    namespace ``("keyed", seed, shard_size)``, so that bundles drawn under
+    different seeds or shard sizes can share one
+    :class:`~repro.core.bundle_store.WalkBundleStore` without ever being
     mistaken for each other.
     """
     return (int(vertex_index), bool(twin), int(length), int(num_walks))
 
+
+
+#: A walk-bundle need: (dense vertex index, twin flag, walk count).
+BundleNeed = Tuple[int, bool, int]
+
+
+class ShardedWalkSampler:
+    """The keyed walk sampler: every bundle of a batch in one sweep.
+
+    The ``num_walks`` walks of endpoint ``(vertex, twin)`` are laid out in
+    fixed-size *shards*; the world keys of shard ``s`` derive from
+    ``SeedSequence(seed, spawn_key=(vertex, twin, s))``
+    (:func:`shard_world_keys`), and each walk is a pure function of its
+    world key (:func:`sample_walk_matrix_keyed`).  A bundle is therefore
+    bit-identical however batches are composed: an engine and a service
+    tenant built with the same ``(seed, shard_size)`` agree walk for walk,
+    and an ``N``-walk bundle is the exact prefix of a ``2N``-walk one.
+
+    Parameters
+    ----------
+    seed:
+        Base seed of the key-derivation scheme.  ``None`` draws one from OS
+        entropy at construction (the instance is then still self-consistent:
+        repeated sampling of the same endpoint yields the same bundle).
+    shard_size:
+        Walks per shard.  Part of the RNG scheme: it decides which world
+        keys exist, so changing it changes the sampled walks.
+    """
+
+    def __init__(
+        self, seed: Optional[int] = None, shard_size: int = DEFAULT_SHARD_SIZE
+    ) -> None:
+        if shard_size < 1:
+            raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
+        if seed is None:
+            seed = int(np.random.SeedSequence().entropy) % (2**63)
+        self.seed = int(seed)
+        self.shard_size = int(shard_size)
+        #: Fault-injection seam (tests only): when set, called at the top of
+        #: every :meth:`sample_bundles_mixed`; an exception it raises
+        #: propagates to the caller exactly like a real sampling failure.
+        self._fail_hook: Optional[Callable[[], None]] = None
+
+    def store_key(
+        self, vertex_index: int, twin: bool, length: int, num_walks: int
+    ) -> tuple:
+        """Bundle-store key of one endpoint under this sampler's scheme.
+
+        Namespaced by ``(seed, shard_size)`` — the two parameters that decide
+        the sampled walks — so a store hit is always a bundle this sampler
+        would resample bit-identically.
+        """
+        return ("keyed", self.seed, self.shard_size) + bundle_key(
+            vertex_index, twin, length, num_walks
+        )
+
+    def world_keys(self, vertex_index: int, twin: bool, num_walks: int) -> np.ndarray:
+        """All ``num_walks`` world keys of one endpoint, shard by shard."""
+        return endpoint_world_keys(
+            self.seed, vertex_index, twin, num_walks, self.shard_size
+        )
+
+    def sample_bundles_mixed(
+        self, csr: CSRGraph, needs: Sequence[BundleNeed], length: int
+    ) -> Dict[BundleNeed, np.ndarray]:
+        """Walk bundles for endpoints with per-endpoint walk counts.
+
+        ``needs`` are ``(vertex_index, twin, num_walks)`` triples (duplicates
+        collapse); all of them share one keyed sweep.  Each bundle is a
+        ``(num_walks, length + 1)`` matrix that owns its rows, so a store
+        retaining it accounts for exactly the bytes it keeps alive.
+        Returns ``{(vertex_index, twin, num_walks): matrix}``.
+        """
+        if self._fail_hook is not None:
+            self._fail_hook()
+        unique = list(
+            dict.fromkeys(
+                (int(vertex_index), bool(twin), int(num_walks))
+                for vertex_index, twin, num_walks in needs
+            )
+        )
+        for need in unique:
+            if need[2] < 1:
+                raise InvalidParameterError(f"num_walks must be >= 1, got {need[2]}")
+        if not unique:
+            return {}
+        sources = np.repeat(
+            np.asarray([need[0] for need in unique], dtype=np.int64),
+            [need[2] for need in unique],
+        )
+        keys = np.concatenate([self.world_keys(*need) for need in unique])
+        matrix = sample_walk_matrix_keyed(csr, sources, length, keys)
+        bundles: Dict[BundleNeed, np.ndarray] = {}
+        offset = 0
+        for need in unique:
+            bundles[need] = matrix[offset : offset + need[2]].copy()
+            offset += need[2]
+        return bundles
 
 # Imported last: kernels imports this module's splitmix helpers, so the
 # import has to wait until they are defined.  Loading it here (not on the

@@ -10,12 +10,11 @@ whole-store invalidation keyed on the graph's mutation version.
 The store itself is agnostic about keys (any hashable works) and values
 (anything exposing ``nbytes``: numpy arrays, SR-SP
 :class:`~repro.core.speedup.PackedTables`).  The canonical key for a walk
-bundle is :func:`repro.core.batch_walks.bundle_key`, shared by the engine's
-:class:`~repro.core.executors.SerialWalkSource` and the service layer's
-sharded sampler so that bundles prefilled by one are visible to the other.
+bundle is :meth:`repro.core.batch_walks.ShardedWalkSampler.store_key`, so
+bundles sampled by an engine and by a service tenant under one ``(seed,
+shard_size)`` scheme are interchangeable.
 :class:`~repro.core.executors.EngineCaches` keeps a second instance per
-snapshot for SR-SP propagation tables.  :mod:`repro.service.bundle_store`
-re-exports this module.
+snapshot for SR-SP propagation tables.
 
 All operations are thread-safe: the service's batch worker and any number of
 submitting threads may touch the store concurrently.  The store never holds

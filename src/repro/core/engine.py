@@ -30,12 +30,12 @@ from typing import Hashable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.baseline import baseline_simrank_all_pairs
-from repro.core.batch_walks import DEFAULT_SHARD_SIZE
+from repro.core.batch_walks import DEFAULT_SHARD_SIZE, ShardedWalkSampler
 from repro.core.executors import (
     METHODS,
     EngineCaches,
     EngineSnapshot,
-    SerialWalkSource,
+    WalkSource,
     executor_for,
 )
 from repro.core.sampling import DEFAULT_NUM_WALKS
@@ -86,7 +86,7 @@ class SimRankEngine:
         on; a generator (or ``None``) supplies the integer seed once, at
         construction.
     bundle_store:
-        Optional :class:`repro.service.bundle_store.WalkBundleStore` shared
+        Optional :class:`repro.core.bundle_store.WalkBundleStore` shared
         across batched sampling queries.  With a store, walk bundles persist
         across :meth:`similarity_many` calls under the store's LRU byte
         budget and are invalidated when the graph mutates; without one, each
@@ -94,7 +94,7 @@ class SimRankEngine:
     shard_size:
         Walks per shard of the keyed sampling scheme.  Part of the RNG scheme
         (it decides which world keys exist): an engine and a
-        :class:`~repro.service.sharding.ShardedWalkSampler` agree bit-for-bit
+        :class:`~repro.core.batch_walks.ShardedWalkSampler` agree bit-for-bit
         exactly when their ``(seed, shard_size)`` match.
 
     Examples
@@ -209,8 +209,9 @@ class SimRankEngine:
 
         The returned :class:`~repro.core.executors.EngineSnapshot` carries
         the pinned CSR, the snapshot-scoped caches, the engine parameters,
-        and a :class:`~repro.core.executors.SerialWalkSource` under the
-        engine's ``(seed, shard_size)`` scheme (persisting bundles in
+        and a :class:`~repro.core.executors.WalkSource` over a
+        :class:`~repro.core.batch_walks.ShardedWalkSampler` with the engine's
+        ``(seed, shard_size)`` scheme (persisting bundles in
         :attr:`bundle_store` when one is configured).  ``epoch_id`` is 0 —
         engine snapshots are per-call views, not published epochs.
         """
@@ -227,7 +228,9 @@ class SimRankEngine:
             iterations=self.iterations,
             num_walks=self.num_walks,
             exact_prefix=self.exact_prefix,
-            walks=SerialWalkSource(self._seed, self.shard_size, store=self.bundle_store),
+            walks=WalkSource(
+                ShardedWalkSampler(self._seed, self.shard_size), self.bundle_store
+            ),
         )
 
     # -- queries --------------------------------------------------------------

@@ -80,11 +80,10 @@ import numpy as np
 
 from repro.core.batch_walks import (
     DEFAULT_SHARD_SIZE,
-    bundle_key,
-    endpoint_world_keys,
+    BundleNeed,
+    ShardedWalkSampler,
     meeting_probabilities_against_many,
     meeting_probabilities_from_matrices,
-    sample_walk_matrix_keyed,
 )
 from repro.core.bundle_store import WalkBundleStore
 from repro.core.simrank import (
@@ -116,9 +115,6 @@ METHODS = ("baseline", "sampling", "two_phase", "speedup")
 
 #: Default state budget of the exact walk-extension procedure.
 DEFAULT_MAX_STATES = 500_000
-
-#: A walk-bundle need: (dense vertex index, twin flag, walk count).
-BundleNeed = Tuple[int, bool, int]
 
 #: Leading spawn-key component of the filter-vector seed streams.  Walk world
 #: keys use 3-component spawn keys ``(vertex, twin, shard)``; filter streams
@@ -355,62 +351,32 @@ class EngineCaches:
 class WalkSource:
     """Resolves walk-bundle needs, serving a store first and sampling misses.
 
-    A bundle need is ``(vertex_index, twin, num_walks)``; :meth:`resolve`
-    returns direct references for the duration of the batch, so concurrent
-    evictions cannot pull a bundle out from under a query that planned on
-    it.  Concrete sources fix the key namespace (:meth:`store_key`), the
-    backing store (:meth:`_get` / :meth:`_put`) and the sampler
-    (:meth:`_sample`); every implementation of the same ``(seed,
-    shard_size)`` scheme yields bit-identical bundles.
+    A bundle need is ``(vertex_index, twin, num_walks)``.  Misses are
+    sampled in one sweep of ``sampler`` and inserted into ``store`` — the
+    engine's ``bundle_store``, a service tenant's epoch
+    :class:`~repro.service.epoch.VersionedStoreView`, or any ``get``/``put``
+    mapping; ``None`` samples every need afresh.  :meth:`resolve` returns
+    direct references for the duration of the batch, so concurrent evictions
+    cannot pull a bundle out from under a query that planned on it.
     """
+
+    def __init__(
+        self, sampler: ShardedWalkSampler, store: "object | None" = None
+    ) -> None:
+        self.sampler = sampler
+        self.store = store
 
     def store_key(
         self, vertex_index: int, twin: bool, length: int, num_walks: int
     ) -> tuple:
-        """Bundle-store key of one endpoint under this source's scheme."""
-        raise NotImplementedError
-
-    def _get(self, key: tuple) -> Optional[np.ndarray]:
-        return None
-
-    def _put(self, key: tuple, bundle: np.ndarray) -> np.ndarray:
-        return bundle
-
-    def _sample(
-        self,
-        csr: CSRGraph,
-        requests: Sequence[Tuple[int, bool]],
-        length: int,
-        num_walks: int,
-    ) -> Dict[Tuple[int, bool], np.ndarray]:
-        raise NotImplementedError
-
-    def _sample_mixed(
-        self, csr: CSRGraph, needs: Sequence[BundleNeed], length: int
-    ) -> Dict[BundleNeed, np.ndarray]:
-        """Sample needs whose walk counts may differ.
-
-        The base implementation groups by walk count and runs one
-        :meth:`_sample` sweep per group; sources backed by a batched sampler
-        override this to share a single sweep across the whole mixed batch.
-        """
-        by_walks: Dict[int, List[BundleNeed]] = {}
-        for need in needs:
-            by_walks.setdefault(need[2], []).append(need)
-        bundles: Dict[BundleNeed, np.ndarray] = {}
-        for walks, group in by_walks.items():
-            sampled = self._sample(
-                csr, [(vertex_index, twin) for vertex_index, twin, _ in group],
-                length, walks,
-            )
-            for vertex_index, twin, _ in group:
-                bundles[(vertex_index, twin, walks)] = sampled[(vertex_index, twin)]
-        return bundles
+        """Bundle-store key of one endpoint under the sampler's scheme."""
+        return self.sampler.store_key(vertex_index, twin, length, num_walks)
 
     def resolve(
         self, csr: CSRGraph, length: int, needs: Iterable[BundleNeed]
     ) -> Dict[BundleNeed, np.ndarray]:
         """Bundles for every need (duplicates collapse; misses sampled)."""
+        store = self.store
         bundles: Dict[BundleNeed, np.ndarray] = {}
         missing: List[BundleNeed] = []
         seen = set()
@@ -419,130 +385,21 @@ class WalkSource:
             if need in seen:
                 continue
             seen.add(need)
-            cached = self._get(self.store_key(need[0], need[1], length, need[2]))
+            cached = None
+            if store is not None:
+                cached = store.get(self.store_key(need[0], need[1], length, need[2]))
             if cached is None:
                 missing.append(need)
             else:
                 bundles[need] = cached
         if missing:
-            sampled = self._sample_mixed(csr, missing, length)
+            sampled = self.sampler.sample_bundles_mixed(csr, missing, length)
             for need in missing:
                 bundle = sampled[need]
-                self._put(self.store_key(need[0], need[1], length, need[2]), bundle)
+                if store is not None:
+                    store.put(self.store_key(need[0], need[1], length, need[2]), bundle)
                 bundles[need] = bundle
         return bundles
-
-
-class SerialWalkSource(WalkSource):
-    """The keyed sampling scheme evaluated serially in the calling thread.
-
-    The single-process reference implementation of the deterministic
-    ``(seed, shard_size)`` scheme — the same world keys and walks as the
-    service's :class:`~repro.service.sharding.ShardedWalkSampler`, without a
-    worker pool.  ``store`` may be a
-    :class:`~repro.service.bundle_store.WalkBundleStore` (the engine's
-    ``bundle_store=``) or any ``get``/``put`` mapping; ``None`` samples every
-    need afresh.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        store: "object | None" = None,
-    ) -> None:
-        if shard_size < 1:
-            raise InvalidParameterError(f"shard_size must be >= 1, got {shard_size}")
-        self.seed = int(seed)
-        self.shard_size = int(shard_size)
-        self._store = store
-
-    def store_key(
-        self, vertex_index: int, twin: bool, length: int, num_walks: int
-    ) -> tuple:
-        return ("keyed", self.seed, self.shard_size) + bundle_key(
-            vertex_index, twin, length, num_walks
-        )
-
-    def _get(self, key: tuple) -> Optional[np.ndarray]:
-        return self._store.get(key) if self._store is not None else None
-
-    def _put(self, key: tuple, bundle: np.ndarray) -> np.ndarray:
-        return self._store.put(key, bundle) if self._store is not None else bundle
-
-    def _sample(
-        self,
-        csr: CSRGraph,
-        requests: Sequence[Tuple[int, bool]],
-        length: int,
-        num_walks: int,
-    ) -> Dict[Tuple[int, bool], np.ndarray]:
-        # A uniform batch is a mixed batch whose needs share one walk count.
-        needs = [(vertex_index, twin, num_walks) for vertex_index, twin in requests]
-        bundles = self._sample_mixed(csr, needs, length)
-        return {need[:2]: bundle for need, bundle in bundles.items()}
-
-    def _sample_mixed(
-        self, csr: CSRGraph, needs: Sequence[BundleNeed], length: int
-    ) -> Dict[BundleNeed, np.ndarray]:
-        sources = np.repeat(
-            np.asarray([need[0] for need in needs], dtype=np.int64),
-            [need[2] for need in needs],
-        )
-        keys = np.concatenate(
-            [
-                endpoint_world_keys(self.seed, vertex_index, twin, walks, self.shard_size)
-                for vertex_index, twin, walks in needs
-            ]
-        )
-        matrix = sample_walk_matrix_keyed(csr, sources, length, keys)
-        bundles: Dict[BundleNeed, np.ndarray] = {}
-        offset = 0
-        for need in needs:
-            bundles[need] = matrix[offset : offset + need[2]]
-            offset += need[2]
-        return bundles
-
-
-class PrefetchedWalkSource(WalkSource):
-    """A :class:`WalkSource` overlay serving pre-resolved bundles first.
-
-    Wraps an inner source plus a ``{(vertex, twin, length, walks): bundle}``
-    overlay; needs absent from the overlay fall through to the inner source
-    untouched.  Used by the service to resolve a batch's walk needs in one
-    mixed sweep up front while group executors keep their per-need ``resolve``
-    calls unchanged.
-    """
-
-    def __init__(self, inner: WalkSource, bundles: Dict[tuple, np.ndarray]) -> None:
-        self.inner = inner
-        self._bundles = dict(bundles)
-
-    def store_key(
-        self, vertex_index: int, twin: bool, length: int, num_walks: int
-    ) -> tuple:
-        return self.inner.store_key(vertex_index, twin, length, num_walks)
-
-    def _get(self, key: tuple) -> Optional[np.ndarray]:
-        hit = self._bundles.get(key)
-        return hit if hit is not None else self.inner._get(key)
-
-    def _put(self, key: tuple, bundle: np.ndarray) -> np.ndarray:
-        return self.inner._put(key, bundle)
-
-    def _sample(
-        self,
-        csr: CSRGraph,
-        requests: Sequence[Tuple[int, bool]],
-        length: int,
-        num_walks: int,
-    ) -> Dict[Tuple[int, bool], np.ndarray]:
-        return self.inner._sample(csr, requests, length, num_walks)
-
-    def _sample_mixed(
-        self, csr: CSRGraph, needs: Sequence[BundleNeed], length: int
-    ) -> Dict[BundleNeed, np.ndarray]:
-        return self.inner._sample_mixed(csr, needs, length)
 
 
 @dataclass(frozen=True)
@@ -554,10 +411,10 @@ class EngineSnapshot:
     snapshot-scoped state (α cache, SR-SP filters, pinned CSR view) —
     replaced wholesale when the graph moves on, so a pinned snapshot keeps a
     consistent view of the retired version.  ``walks`` resolves walk-bundle
-    needs (serially for standalone engines, through the tenant's sharded
-    sampler and epoch store view in the service); ``store_view`` is the
-    service's versioned bundle-store view (``None`` for engine-built
-    snapshots).  ``epoch_id`` is 0 until an
+    needs through the keyed sampler and a bundle store (the engine's
+    ``bundle_store``, or the tenant's epoch store view in the service);
+    ``store_view`` is the service's versioned bundle-store view (``None``
+    for engine-built snapshots).  ``epoch_id`` is 0 until an
     :class:`~repro.service.epoch.EpochManager` publishes the snapshot.
     """
 

@@ -257,9 +257,9 @@ def build_sketches(
     words = np.zeros((vertex_count, length, padded_words), dtype=np.uint64)
     for start in range(0, vertex_count, chunk_vertices):
         stop = min(start + chunk_vertices, vertex_count)
-        requests = [(position, False) for position in range(start, stop)]
-        bundles = walk_source._sample(csr, requests, length, num_walks)
-        stacked = np.stack([bundles[(position, False)] for position in range(start, stop)])
+        needs = [(position, False, num_walks) for position in range(start, stop)]
+        bundles = walk_source.sampler.sample_bundles_mixed(csr, needs, length)
+        stacked = np.stack([bundles[need] for need in needs])
         words[start:stop] = sketch_walk_matrices(stacked, num_walks)
     return VertexSketches(words, num_walks, length)
 
@@ -267,7 +267,7 @@ def build_sketches(
 class TopKIndexStore:
     """Byte-budgeted LRU over one snapshot's index artifacts.
 
-    Mirrors :class:`~repro.service.bundle_store.WalkBundleStore`: entries
+    Mirrors :class:`~repro.core.bundle_store.WalkBundleStore`: entries
     are keyed artifacts with a known byte size, least-recently-used entries
     are evicted once the budget is exceeded, and an artifact larger than
     the whole budget is refused (callers then fall back to the scan).  The

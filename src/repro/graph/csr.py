@@ -243,8 +243,7 @@ class CSRGraph:
 
         ``(graph_id, version)`` — the same token the bundle stores and engine
         caches key their invalidation on — or ``None`` for snapshots built
-        directly from arrays (e.g. inside sampler worker processes), which
-        carry no provenance.  Two snapshots of the same
+        directly from arrays, which carry no provenance.  Two snapshots of the same
         :class:`~repro.graph.uncertain_graph.UncertainGraph` at the same
         mutation version share this token, so epoch managers can tag the
         snapshots they pin without holding the source graph.

@@ -19,12 +19,12 @@ into a servable system:
   budget, sampler scheme, and engine parameters) and :class:`MutationLog`,
   the validated add/remove/update mutation batches whose ingest patches CSR
   snapshots incrementally.
-* :mod:`repro.service.sharding` — :class:`ShardedWalkSampler`, deterministic
-  sharded parallel walk sampling over a serial / thread / process executor.
-* :mod:`repro.service.bundle_store` — :class:`WalkBundleStore`, the
+* :class:`ShardedWalkSampler` (from :mod:`repro.core.batch_walks`, also
+  importable from :mod:`repro.service.sharding`) — the keyed walk sampler
+  every tenant resolves its bundle misses through, one sweep per batch.
+* :class:`WalkBundleStore` (from :mod:`repro.core.bundle_store`) — the
   LRU-bounded walk-bundle store with hit/miss/eviction stats and
-  graph-version invalidation (one per tenant; re-exported from
-  :mod:`repro.core.bundle_store`).
+  graph-version invalidation, one per tenant.
 * :mod:`repro.service.qos` — :class:`AdmissionController` /
   :class:`TokenBucket` / :class:`OverloadedError`, per-tenant admission
   quotas (``max_qps`` / ``max_inflight`` / ``max_queue_depth``) enforced
@@ -33,13 +33,13 @@ into a servable system:
   ``python -m repro.service``.
 """
 
-from repro.service.bundle_store import BundleStoreStats, WalkBundleStore
+from repro.core.batch_walks import ShardedWalkSampler
+from repro.core.bundle_store import BundleStoreStats, WalkBundleStore
 from repro.service.epoch import (
     EngineSnapshot,
     Epoch,
     EpochLease,
     EpochManager,
-    PooledWalkSource,
     VersionedStoreView,
 )
 from repro.service.qos import AdmissionController, OverloadedError, TokenBucket
@@ -50,7 +50,6 @@ from repro.service.service import (
     TopKResult,
     TopKVertexQuery,
 )
-from repro.service.sharding import EXECUTORS, ShardedWalkSampler
 from repro.service.tenancy import (
     DEFAULT_GRAPH_NAME,
     GraphRegistry,
@@ -68,7 +67,6 @@ __all__ = [
     "Epoch",
     "EpochLease",
     "EpochManager",
-    "PooledWalkSource",
     "VersionedStoreView",
     "AdmissionController",
     "OverloadedError",
@@ -78,7 +76,6 @@ __all__ = [
     "TopKPairsQuery",
     "TopKResult",
     "TopKVertexQuery",
-    "EXECUTORS",
     "ShardedWalkSampler",
     "DEFAULT_GRAPH_NAME",
     "GraphRegistry",

@@ -16,10 +16,11 @@ that coordination with the classic epoch scheme of read-optimized stores
   live and die with the snapshot's cache bundle, so epoch retirement
   invalidates them for free), the engine parameters, a
   *versioned read view* of the tenant's
-  :class:`~repro.service.bundle_store.WalkBundleStore`
+  :class:`~repro.core.bundle_store.WalkBundleStore`
   (:class:`VersionedStoreView`) that can never serve or retain a bundle
-  belonging to a different graph version, and a :class:`PooledWalkSource`
-  resolving walk bundles through the tenant's sharded sampler.
+  belonging to a different graph version, and a
+  :class:`~repro.core.executors.WalkSource` resolving walk bundles through
+  that view and the tenant's keyed sampler.
 * :class:`EpochManager` — publishes snapshots atomically.  Readers
   :meth:`~EpochManager.pin` the current epoch (a refcounted
   :class:`EpochLease`); the writer publishes a successor and *retires* the
@@ -46,14 +47,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
-from repro.core.executors import BundleNeed, EngineSnapshot, WalkSource
-from repro.graph.csr import CSRGraph
-from repro.service.bundle_store import WalkBundleStore
-from repro.service.sharding import ShardedWalkSampler
+from repro.core.bundle_store import WalkBundleStore
+from repro.core.executors import EngineSnapshot
 from repro.utils.errors import InvalidParameterError
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "Epoch",
     "EpochLease",
     "EpochManager",
-    "PooledWalkSource",
     "VersionedStoreView",
 ]
 
@@ -101,52 +99,6 @@ class VersionedStoreView:
 
     def __repr__(self) -> str:
         return f"VersionedStoreView(token={self.token!r}, current={self.current})"
-
-
-class PooledWalkSource(WalkSource):
-    """Walk-bundle resolution through a tenant's sampler and epoch store view.
-
-    The service-side implementation of the executor layer's
-    :class:`~repro.core.executors.WalkSource` contract: lookups and inserts
-    go through the epoch's :class:`VersionedStoreView` (so a batch on a
-    retiring epoch can neither read a newer version's bundle nor leak its
-    own into the successor's cache), and misses are sampled in one sharded
-    sweep over the tenant's
-    :class:`~repro.service.sharding.ShardedWalkSampler` pool.  Bundles are
-    bit-identical to a :class:`~repro.core.executors.SerialWalkSource` under
-    the same ``(seed, shard_size)`` scheme.
-    """
-
-    def __init__(
-        self, sampler: ShardedWalkSampler, store_view: "VersionedStoreView"
-    ) -> None:
-        self.sampler = sampler
-        self.store_view = store_view
-
-    def store_key(
-        self, vertex_index: int, twin: bool, length: int, num_walks: int
-    ) -> tuple:
-        return self.sampler.store_key(vertex_index, twin, length, num_walks)
-
-    def _get(self, key: tuple) -> Optional[np.ndarray]:
-        return self.store_view.get(key)
-
-    def _put(self, key: tuple, bundle: np.ndarray) -> np.ndarray:
-        return self.store_view.put(key, bundle)
-
-    def _sample(
-        self,
-        csr: CSRGraph,
-        requests: Sequence[Tuple[int, bool]],
-        length: int,
-        num_walks: int,
-    ) -> Dict[Tuple[int, bool], np.ndarray]:
-        return self.sampler.sample_bundles(csr, requests, length, num_walks)
-
-    def _sample_mixed(
-        self, csr: CSRGraph, needs: "Sequence[BundleNeed]", length: int
-    ) -> "Dict[BundleNeed, np.ndarray]":
-        return self.sampler.sample_bundles_mixed(csr, needs, length)
 
 
 class Epoch:

@@ -102,14 +102,14 @@ from repro.datasets.registry import load_dataset
 from repro.graph.io import read_edge_list
 from repro.graph.uncertain_graph import UncertainGraph, example_graph
 from repro.obs import Observability
-from repro.service.bundle_store import DEFAULT_BUDGET_BYTES
+from repro.core.batch_walks import DEFAULT_SHARD_SIZE
+from repro.core.bundle_store import DEFAULT_BUDGET_BYTES
 from repro.service.service import (
     PairQuery,
     SimilarityService,
     TopKPairsQuery,
     TopKVertexQuery,
 )
-from repro.service.sharding import DEFAULT_SHARD_SIZE, EXECUTORS
 from repro.service.tenancy import MutationLog, TenantConfig
 from repro.utils.errors import InvalidParameterError
 
@@ -370,8 +370,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
     parser.add_argument("--iterations", type=int, default=5)
     parser.add_argument("--num-walks", type=int, default=1000)
     parser.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--executor", choices=EXECUTORS, default="serial")
     parser.add_argument(
         "--read-workers",
         type=int,
@@ -516,8 +514,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
             num_walks=args.num_walks,
             seed=args.seed,
             shard_size=args.shard_size,
-            num_workers=args.workers,
-            executor=args.executor,
             store_budget_bytes=budget,
             read_workers=args.read_workers,
             max_num_walks=args.max_num_walks,

@@ -7,9 +7,9 @@ answers them.  Every batch routes through the snapshot-scoped
 :class:`~repro.core.executors.MethodExecutor` registry — *all four* paper
 methods, not just sampling — so each method shares its expensive stage per
 unique endpoint of the batch: walk bundles for the sampled stages (resolved
-through the tenant's :class:`~repro.service.bundle_store.WalkBundleStore`
-and sampled in one sharded sweep by the
-:class:`~repro.service.sharding.ShardedWalkSampler` on a miss), exact
+through the tenant's :class:`~repro.core.bundle_store.WalkBundleStore`
+and sampled in one keyed sweep by the
+:class:`~repro.core.batch_walks.ShardedWalkSampler` on a miss), exact
 single-source transition distributions for the Baseline / SR-TS / SR-SP
 prefix stages, and SR-SP propagation tables per endpoint side.  Bundles
 persist across batches until LRU eviction or graph mutation, so a sustained
@@ -36,8 +36,8 @@ epochs even while a large mutation batch is mid-apply.
 
 Because all executor randomness is keyed — walk bundles from ``(seed,
 vertex, twin, shard)`` world keys, SR-SP filters from per-walk-count seed
-streams — the service's answers are bit-identical across executor kinds,
-worker counts, and ``read_workers`` settings: for every method, every
+streams — the service's answers are bit-identical across batch
+compositions and ``read_workers`` settings: for every method, every
 answer equals a standalone :class:`~repro.core.engine.SimRankEngine` built
 at the graph version its epoch pinned with the tenant's ``seed`` /
 ``shard_size``, and an evicted-then-resampled bundle reproduces exactly.
@@ -61,19 +61,15 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.batch_walks import DEFAULT_SHARD_SIZE, ShardedWalkSampler
+from repro.core.bundle_store import DEFAULT_BUDGET_BYTES, WalkBundleStore
 from repro.core.engine import SimRankEngine
-from repro.core.executors import (
-    BundleNeed,
-    EngineSnapshot,
-    MethodExecutor,
-    PrefetchedWalkSource,
-    executor_for,
-)
+from repro.core.executors import EngineSnapshot, MethodExecutor, executor_for
 from repro.core.simrank import (
     DEFAULT_DECAY,
     DEFAULT_ITERATIONS,
@@ -90,10 +86,8 @@ from repro.core.topk_index import (
 )
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.obs import Gauge, MetricsRegistry, Observability, QueryTrace
-from repro.service.bundle_store import DEFAULT_BUDGET_BYTES, WalkBundleStore
 from repro.service.epoch import EpochLease
 from repro.service.qos import AdmissionController, OverloadedError
-from repro.service.sharding import DEFAULT_SHARD_SIZE, ShardedWalkSampler
 from repro.service.tenancy import (
     DEFAULT_GRAPH_NAME,
     GraphRegistry,
@@ -406,10 +400,10 @@ class SimilarityService:
     seed:
         Base seed of the deterministic sharded sampling scheme (and of the
         engine used by non-sampling fallback methods).
-    shard_size, num_workers, executor:
-        Sharding scheme and worker pool — see
-        :class:`~repro.service.sharding.ShardedWalkSampler`.  ``shard_size``
-        affects the sampled walks; ``num_workers`` / ``executor`` never do.
+    shard_size:
+        Walks per shard of the keyed sampling scheme — see
+        :class:`~repro.core.batch_walks.ShardedWalkSampler`.  Part of the
+        scheme: it decides which walks are sampled.
     store_budget_bytes:
         Byte budget of each tenant's walk-bundle store (``None`` =
         unbounded).
@@ -439,7 +433,7 @@ class SimilarityService:
         JSONL trace spans (see docs/OBSERVABILITY.md).
 
     Use as a context manager (or call :meth:`close`) to stop the worker
-    threads and the sampler pools.
+    threads.
     """
 
     def __init__(
@@ -450,8 +444,6 @@ class SimilarityService:
         num_walks: int = DEFAULT_NUM_WALKS,
         seed: Optional[int] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        num_workers: int = 1,
-        executor: str = "serial",
         store_budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES,
         max_batch_size: int = 64,
         batch_wait_seconds: float = 0.002,
@@ -509,8 +501,6 @@ class SimilarityService:
                     num_walks=num_walks,
                     seed=seed,
                     shard_size=shard_size,
-                    num_workers=num_workers,
-                    executor=executor,
                     store_budget_bytes=store_budget_bytes,
                     max_num_walks=max_num_walks,
                     max_qps=max_qps,
@@ -602,7 +592,7 @@ class SimilarityService:
 
     @property
     def sampler(self) -> ShardedWalkSampler:
-        """The default tenant's sharded walk sampler."""
+        """The default tenant's keyed walk sampler."""
         return self.tenant().sampler
 
     @property
@@ -613,7 +603,7 @@ class SimilarityService:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Drain pending work, stop the worker threads, shut down the pools.
+        """Drain pending work and stop the worker threads.
 
         Shutdown order matters: the dispatcher drains first (it may still
         route mutations to the writer and batches to the read pool), then
@@ -1098,12 +1088,6 @@ class SimilarityService:
             except Exception as error:
                 self._finish_query(item, error=error)
 
-        # Mixed-fidelity batches: resolve every sampled pair plan's walk
-        # needs in ONE keyed sweep up front (WalkSource._sample_mixed), so
-        # groups that differ only in walk count stop paying one sampler
-        # dispatch each.  Answers are bit-identical either way.
-        snapshot = self._prefetch_walks(snapshot, planned)
-
         # One snapshot-scoped executor per (method, walk count) group: the
         # pairs of every query in a group are scored by a single run_batch,
         # so bundle / exact-prefix work is shared across queries of the
@@ -1283,59 +1267,6 @@ class SimilarityService:
             result.degraded = True
             result.walks_used = plan.walks_used
         return result
-
-    @staticmethod
-    def _prefetch_walks(
-        snapshot: EngineSnapshot,
-        planned: List[Tuple["_QueryItem", "_QueryPlan"]],
-    ) -> EngineSnapshot:
-        """Resolve a mixed-fidelity batch's walk needs in one keyed sweep.
-
-        Group executors resolve walk bundles per ``(method, walks)`` group,
-        so a batch mixing walk counts pays one sampler dispatch per count.
-        When at least two counts appear among the sampled pair plans, the
-        needs of all of them are gathered here and resolved through
-        :meth:`~repro.core.executors.WalkSource._sample_mixed` — one sweep
-        over the tenant's sharded sampler — and served back to the groups
-        through a :class:`~repro.core.executors.PrefetchedWalkSource`
-        overlay.  Bundles are pure functions of their world keys, so answers
-        are bit-identical with or without the prefetch.
-        """
-        source = snapshot.walks
-        if source is None:
-            return snapshot
-        sampled_tail = snapshot.exact_prefix < snapshot.iterations
-        csr = snapshot.csr
-        needs: List[BundleNeed] = []
-        walk_counts = set()
-        for _item, plan in planned:
-            if plan.kind != "pair" or plan.method not in ("sampling", "two_phase"):
-                continue
-            if plan.method == "two_phase" and not sampled_tail:
-                continue
-            walks = plan.walks if plan.walks is not None else snapshot.num_walks
-            batch_needs: List[BundleNeed] = []
-            try:
-                for u, v in plan.pairs:
-                    u_index, v_index = csr.index_of(u), csr.index_of(v)
-                    batch_needs.append((u_index, False, walks))
-                    batch_needs.append((v_index, u_index == v_index, walks))
-            except Exception:
-                # Unknown endpoint: leave the error to the group executor's
-                # per-query handling rather than failing the whole batch.
-                continue
-            needs.extend(batch_needs)
-            walk_counts.add(walks)
-        if len(walk_counts) < 2:
-            # Zero or one count: each group's own resolve is already a
-            # single sweep, so the overlay would buy nothing.
-            return snapshot
-        bundles = source.resolve(csr, snapshot.iterations, needs)
-        overlay = {
-            source.store_key(vertex, twin, snapshot.iterations, walks): bundle
-            for (vertex, twin, walks), bundle in bundles.items()
-        }
-        return replace(snapshot, walks=PrefetchedWalkSource(source, overlay))
 
     @staticmethod
     def _index_covers(plan: "_QueryPlan", snapshot: EngineSnapshot) -> bool:

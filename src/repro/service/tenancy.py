@@ -11,8 +11,8 @@ provides that layer:
   :class:`~repro.graph.uncertain_graph.UncertainGraph` and reports exactly
   which adjacency rows it dirtied.
 * :class:`GraphTenant` — one hosted graph together with its private
-  :class:`~repro.service.bundle_store.WalkBundleStore` (own byte budget),
-  :class:`~repro.service.sharding.ShardedWalkSampler` (own seed / shard
+  :class:`~repro.core.bundle_store.WalkBundleStore` (own byte budget),
+  :class:`~repro.core.batch_walks.ShardedWalkSampler` (own seed / shard
   scheme) and :class:`~repro.core.engine.SimRankEngine` parameters.
 * :class:`GraphRegistry` — the name → tenant mapping hosted inside one
   :class:`~repro.service.service.SimilarityService` process, with
@@ -48,22 +48,22 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.batch_walks import DEFAULT_SHARD_SIZE, ShardedWalkSampler
+from repro.core.bundle_store import DEFAULT_BUDGET_BYTES, WalkBundleStore
 from repro.core.engine import SimRankEngine
+from repro.core.executors import WalkSource
 from repro.core.sampling import DEFAULT_NUM_WALKS
 from repro.core.simrank import DEFAULT_DECAY, DEFAULT_ITERATIONS
 from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.obs import NULL_HISTOGRAM, MetricsRegistry
-from repro.service.bundle_store import DEFAULT_BUDGET_BYTES, WalkBundleStore
 from repro.service.epoch import (
     EngineSnapshot,
     EpochLease,
     EpochManager,
-    PooledWalkSource,
     VersionedStoreView,
 )
-from repro.service.sharding import DEFAULT_SHARD_SIZE, EXECUTORS, ShardedWalkSampler
 from repro.utils.errors import InvalidParameterError
 
 Vertex = Hashable
@@ -261,8 +261,6 @@ class TenantConfig:
     num_walks: int = DEFAULT_NUM_WALKS
     seed: Optional[int] = None
     shard_size: int = DEFAULT_SHARD_SIZE
-    num_workers: int = 1
-    executor: str = "serial"
     store_budget_bytes: Optional[int] = DEFAULT_BUDGET_BYTES
     #: Admission cap on per-query ``num_walks`` overrides (``None`` = no cap;
     #: the tenant's configured ``num_walks`` default is always admitted).
@@ -340,7 +338,7 @@ class GraphTenant:
     """One named graph hosted in a registry, with private serving state.
 
     A tenant owns everything query answering needs — the graph, a bundle
-    store under its own byte budget, a deterministic sharded sampler, and a
+    store under its own byte budget, a keyed walk sampler, and a
     :class:`~repro.core.engine.SimRankEngine` wired to the store — so that
     tenants never contend for cache budget and a mutation of one tenant
     cannot invalidate another's bundles.
@@ -354,10 +352,6 @@ class GraphTenant:
     """
 
     def __init__(self, name: str, graph: UncertainGraph, config: TenantConfig) -> None:
-        if config.executor not in EXECUTORS:
-            raise InvalidParameterError(
-                f"unknown executor {config.executor!r}; expected one of {EXECUTORS}"
-            )
         if config.max_num_walks is not None and config.max_num_walks < 1:
             raise InvalidParameterError(
                 f"max_num_walks must be >= 1 or None, got {config.max_num_walks}"
@@ -378,12 +372,7 @@ class GraphTenant:
         self.graph = graph
         self.config = config
         self.store = WalkBundleStore(config.store_budget_bytes)
-        self.sampler = ShardedWalkSampler(
-            seed=config.seed,
-            shard_size=config.shard_size,
-            num_workers=config.num_workers,
-            executor=config.executor,
-        )
+        self.sampler = ShardedWalkSampler(config.seed, config.shard_size)
         self.engine = SimRankEngine(
             graph,
             decay=config.decay,
@@ -493,7 +482,7 @@ class GraphTenant:
             iterations=self.engine.iterations,
             num_walks=self.engine.num_walks,
             exact_prefix=self.engine.exact_prefix,
-            walks=PooledWalkSource(self.sampler, view),
+            walks=WalkSource(self.sampler, view),
         )
         self.epochs.publish(snapshot)
         return invalidated
@@ -642,10 +631,6 @@ class GraphTenant:
             "speedup_tables": caches.speedup_tables.cache_stats(),
         }
 
-    def close(self) -> None:
-        """Shut down the tenant's sampler pool."""
-        self.sampler.close()
-
     def __repr__(self) -> str:
         return f"GraphTenant({self.name!r}, {self.graph!r})"
 
@@ -709,7 +694,6 @@ class GraphRegistry:
         tenant = GraphTenant(name, graph if graph is not None else UncertainGraph(), config)
         with self._lock:
             if name in self._tenants:
-                tenant.close()
                 raise InvalidParameterError(f"graph {name!r} already exists")
             self._tenants[name] = tenant
             metrics = self._metrics
@@ -730,20 +714,15 @@ class GraphRegistry:
         return tenant
 
     def drop(self, name: str) -> None:
-        """Unregister a tenant and shut down its sampler pool."""
+        """Unregister a tenant."""
         with self._lock:
-            tenant = self._tenants.pop(name, None)
-        if tenant is None:
-            raise InvalidParameterError(f"unknown graph {name!r}")
-        tenant.close()
+            if self._tenants.pop(name, None) is None:
+                raise InvalidParameterError(f"unknown graph {name!r}")
 
     def close(self) -> None:
-        """Drop every tenant (shutting down their sampler pools)."""
+        """Drop every tenant."""
         with self._lock:
-            tenants = list(self._tenants.values())
             self._tenants.clear()
-        for tenant in tenants:
-            tenant.close()
 
     def __enter__(self) -> "GraphRegistry":
         return self

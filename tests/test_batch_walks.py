@@ -37,7 +37,7 @@ from repro.core.speedup import (
 from repro.graph.csr import CSRGraph, CSRGraphView
 from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.service.bundle_store import WalkBundleStore
+from repro.core.bundle_store import WalkBundleStore
 from repro.utils.bitvector import BitVector
 from repro.utils.errors import InvalidParameterError
 

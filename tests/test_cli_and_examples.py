@@ -196,6 +196,17 @@ class TestExamples:
         assert "SimRank similarity" in completed.stdout
         assert "baseline" in completed.stdout
 
+    def test_service_workload_runs(self):
+        completed = subprocess.run(
+            [sys.executable, str(EXAMPLES_DIR / "service_workload.py")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "120 queries from 4 threads" in completed.stdout
+        assert "store hit rate" in completed.stdout
+
     def test_examples_are_importable_modules(self):
         """Every example must at least compile (syntax / import sanity)."""
         import py_compile

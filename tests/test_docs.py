@@ -86,7 +86,6 @@ class TestModuleDocstrings:
     MODULES = (
         "repro.core.batch_walks",
         "repro.service",
-        "repro.service.bundle_store",
         "repro.service.runner",
         "repro.service.service",
         "repro.service.sharding",

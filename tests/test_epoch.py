@@ -222,9 +222,23 @@ class TestPerQueryNumWalks:
             default = service.submit(PairQuery("v1", "v2"))
             small = service.submit(PairQuery("v1", "v2", num_walks=60))
             topk = service.submit(TopKVertexQuery("v1", 3, num_walks=60))
-            assert default.result(timeout=30).details["num_walks"] == 300
-            assert small.result(timeout=30).details["num_walks"] == 60
-            assert len(topk.result(timeout=30)) == 3
+            default, small, topk = (
+                future.result(timeout=30) for future in (default, small, topk)
+            )
+        assert default.details["num_walks"] == 300
+        assert small.details["num_walks"] == 60
+        assert len(topk) == 3
+        # Every answer of the mixed-count batch equals a standalone engine
+        # at that answer's walk count.
+        engine = SimRankEngine(paper_graph, iterations=4, num_walks=300, seed=9)
+        assert default.score == engine.similarity("v1", "v2", method="sampling").score
+        assert small.score == engine.similarity(
+            "v1", "v2", method="sampling", num_walks=60
+        ).score
+        for vertex, score in topk:
+            assert score == engine.similarity(
+                "v1", vertex, method="sampling", num_walks=60
+            ).score
 
     def test_cap_rejects_oversized_override_only(self, paper_graph):
         with SimilarityService(

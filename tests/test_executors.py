@@ -18,12 +18,13 @@ import pytest
 
 import repro.core.executors as executors
 from repro.core.baseline import baseline_simrank
+from repro.core.batch_walks import endpoint_world_keys, sample_walk_matrix_keyed
 from repro.core.engine import SimRankEngine
 from repro.core.executors import (
     EXECUTOR_TYPES,
     METHODS,
     BaselineExecutor,
-    SerialWalkSource,
+    WalkSource,
     executor_for,
     make_executor,
 )
@@ -189,16 +190,26 @@ class TestTwoPhaseExecutor:
 
 
 class TestSerialWalkSource:
+    """The one (serial, keyed) :class:`WalkSource` the engine and the
+    service both resolve walk bundles through."""
+
     def test_bit_identical_to_sharded_sampler(self, paper_graph):
-        """The engine-side serial source and the service-side sharded sampler
-        implement one scheme: same (seed, shard_size) -> same bundles."""
+        """The engine's walk source and a service-side sampler implement one
+        scheme: same (seed, shard_size) -> same keys and the same bundles,
+        each the keyed sampler run on its endpoint's world keys."""
         csr = CSRGraph.from_uncertain(paper_graph)
-        source = SerialWalkSource(seed=5, shard_size=16)
+        engine = SimRankEngine(paper_graph, iterations=4, seed=5, shard_size=16)
+        source = engine.snapshot().walks
         sampler = ShardedWalkSampler(seed=5, shard_size=16)
         needs = [(0, False, 40), (1, False, 40), (1, True, 40)]
         resolved = source.resolve(csr, 4, needs)
         for vertex_index, twin, walks in needs:
-            expected = sampler.sample_bundle(csr, vertex_index, 4, walks, twin=twin)
+            expected = sample_walk_matrix_keyed(
+                csr,
+                np.full(walks, vertex_index, dtype=np.int64),
+                4,
+                endpoint_world_keys(5, vertex_index, twin, walks, 16),
+            )
             assert np.array_equal(resolved[(vertex_index, twin, walks)], expected)
             assert source.store_key(
                 vertex_index, twin, 4, walks
@@ -207,7 +218,7 @@ class TestSerialWalkSource:
     def test_store_round_trip_and_duplicate_needs(self, paper_graph):
         csr = CSRGraph.from_uncertain(paper_graph)
         store = WalkBundleStore()
-        source = SerialWalkSource(seed=5, store=store)
+        source = WalkSource(ShardedWalkSampler(seed=5), store)
         first = source.resolve(csr, 3, [(0, False, 32), (0, False, 32)])
         assert len(first) == 1 and len(store) == 1
         again = source.resolve(csr, 3, [(0, False, 32)])
@@ -215,7 +226,7 @@ class TestSerialWalkSource:
 
     def test_invalid_shard_size_rejected(self):
         with pytest.raises(InvalidParameterError):
-            SerialWalkSource(seed=1, shard_size=0)
+            WalkSource(ShardedWalkSampler(seed=1, shard_size=0))
 
 
 class TestCSRGraphView:

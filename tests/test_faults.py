@@ -5,8 +5,8 @@ The service carries two tests-only fault seams:
 * ``SimilarityService._fail_hook`` — called with each query during batch
   planning on the read worker; raising fails *that query alone*.
 * ``ShardedWalkSampler._fail_hook`` — called at the top of every
-  ``sample_bundles``; raising simulates a sampling-stage crash (worker
-  death, memory error) inside the shared batch stage.
+  ``sample_bundles_mixed``; raising simulates a sampling-stage crash
+  (memory error) inside the shared batch stage.
 
 These tests inject faults through both seams and assert the blast radius:
 the faulted query (or tenant) gets a structured error, every other query

@@ -25,7 +25,7 @@ from repro.core.batch_walks import (
 from repro.core.engine import SimRankEngine
 from repro.core.sampling import estimate_meeting_probabilities, sample_walks
 from repro.core.simrank import simrank_from_meeting_probabilities
-from repro.core.executors import PrefetchedWalkSource, SerialWalkSource
+from repro.core.executors import WalkSource
 from repro.core.kernels import (
     DENSE_MAX_COLS,
     KERNEL,
@@ -130,7 +130,7 @@ class TestKernelResolution:
         with pytest.raises(TypeError):
             ShardedWalkSampler(seed=1, kernel="numpy")
         with pytest.raises(TypeError):
-            SerialWalkSource(seed=1, kernel="numpy")
+            WalkSource(ShardedWalkSampler(seed=1), kernel="numpy")
         assert "kernel" not in TenantConfig.__dataclass_fields__
 
     def test_resolve_chunk_rows_bounds_and_override(self):
@@ -226,62 +226,28 @@ class TestBitIdentity:
             assert a == pytest.approx(b, abs=MC_TOLERANCE)
 
 
-class TestKernelPlumbing:
-    def test_sharded_sampler_identical_across_executors(self):
-        csr = GRAPHS["sparse"]
-        requests = [(0, False), (3, False), (3, True), (7, False)]
-        expected = None
-        for executor, workers in [("serial", 1), ("thread", 3), ("process", 2)]:
-            sampler = ShardedWalkSampler(
-                seed=5, shard_size=16, num_workers=workers, executor=executor
-            )
-            try:
-                bundles = sampler.sample_bundles(csr, requests, 6, 40)
-            finally:
-                sampler.close()
-            if expected is None:
-                expected = bundles
-            for request in requests:
-                assert np.array_equal(bundles[request], expected[request]), executor
+def _sample_bundle(sampler, csr, need, length):
+    """One need's bundle, sampled in a sweep of its own."""
+    return sampler.sample_bundles_mixed(csr, [need], length)[need]
 
 
 class TestMixedWalkBatching:
     def test_sample_bundles_mixed_matches_per_count(self):
+        """Rows are a pure function of their world keys: a bundle sampled
+        beside others of different walk counts equals one sampled alone."""
         csr = GRAPHS["sparse"]
         needs = [(0, False, 40), (3, False, 8), (3, True, 40), (7, False, 24)]
         sampler = ShardedWalkSampler(seed=5, shard_size=16)
-        try:
-            mixed = sampler.sample_bundles_mixed(csr, needs, 6)
-            for vertex, twin, walks in needs:
-                per = sampler.sample_bundles(csr, [(vertex, twin)], 6, walks)
-                assert np.array_equal(mixed[(vertex, twin, walks)], per[(vertex, twin)])
-        finally:
-            sampler.close()
-
-    def test_sample_bundles_mixed_parallel_executors_agree(self):
-        csr = GRAPHS["sparse"]
-        needs = [(0, False, 40), (3, False, 8), (3, True, 40), (7, False, 24)]
-        serial = ShardedWalkSampler(seed=5, shard_size=16)
-        threaded = ShardedWalkSampler(
-            seed=5, shard_size=16, num_workers=3, executor="thread"
-        )
-        try:
-            expected = serial.sample_bundles_mixed(csr, needs, 6)
-            got = threaded.sample_bundles_mixed(csr, needs, 6)
-            for need in needs:
-                assert np.array_equal(got[need], expected[need])
-        finally:
-            serial.close()
-            threaded.close()
+        mixed = sampler.sample_bundles_mixed(csr, needs, 6)
+        for need in needs:
+            assert np.array_equal(mixed[need], _sample_bundle(sampler, csr, need, 6))
 
     def test_serial_walk_source_resolves_mixed_in_one_sweep(self, monkeypatch):
         csr = GRAPHS["sparse"]
-        source = SerialWalkSource(seed=9)
+        sampler = ShardedWalkSampler(seed=9)
+        source = WalkSource(sampler)
         needs = [(0, False, 32), (2, False, 8), (2, True, 32), (5, False, 8)]
-        expected = {
-            need: source._sample(csr, [need[:2]], 6, need[2])[need[:2]]
-            for need in needs
-        }
+        expected = {need: _sample_bundle(sampler, csr, need, 6) for need in needs}
         sweeps = []
         original = batch_walks.sample_walk_matrix_keyed
 
@@ -289,31 +255,11 @@ class TestMixedWalkBatching:
             sweeps.append(args[1].size)
             return original(*args, **kwargs)
 
-        import repro.core.executors as executors_module
-
-        monkeypatch.setattr(executors_module, "sample_walk_matrix_keyed", counting)
+        monkeypatch.setattr(batch_walks, "sample_walk_matrix_keyed", counting)
         resolved = source.resolve(csr, 6, needs)
         assert sweeps == [sum(need[2] for need in needs)]
         for need in needs:
             assert np.array_equal(resolved[need], expected[need])
-
-    def test_prefetched_source_serves_overlay_without_resampling(self):
-        csr = GRAPHS["sparse"]
-        inner = SerialWalkSource(seed=9)
-        needs = [(0, False, 16), (2, False, 16)]
-        resolved = inner.resolve(csr, 4, needs)
-        overlay = {
-            inner.store_key(v, twin, 4, walks): resolved[(v, twin, walks)]
-            for v, twin, walks in needs
-        }
-        prefetched = PrefetchedWalkSource(inner, overlay)
-        served = prefetched.resolve(csr, 4, needs + [(5, False, 16)])
-        for need in needs:
-            assert served[need] is resolved[need]
-        assert np.array_equal(
-            served[(5, False, 16)],
-            inner.resolve(csr, 4, [(5, False, 16)])[(5, False, 16)],
-        )
 
 
 class TestMemoizationAndDeprecation:

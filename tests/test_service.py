@@ -34,6 +34,12 @@ def _array(value: float, size: int = 10) -> np.ndarray:
     return np.full(size, value, dtype=np.int64)  # 8 bytes per entry
 
 
+def _sample_bundle(sampler, csr, vertex_index, length, num_walks, twin=False):
+    """One endpoint's ``(num_walks, length + 1)`` bundle from ``sampler``."""
+    need = (vertex_index, twin, num_walks)
+    return sampler.sample_bundles_mixed(csr, [need], length)[need]
+
+
 class TestWalkBundleStore:
     def test_roundtrip_and_counters(self):
         store = WalkBundleStore(budget_bytes=1024)
@@ -112,35 +118,11 @@ class TestShardedWalkSampler:
             sampler.world_keys(3, False, 32), sampler.world_keys(3, True, 32)
         )
 
-    def test_sharded_bundles_bit_identical_across_executors(self, paper_graph):
-        """Acceptance pin: sharded results == single-process vectorized backend.
-
-        The same seed and shard scheme must yield byte-identical walk
-        matrices whether sampling runs serially in-process, across threads,
-        or across worker processes.
-        """
-        csr = CSRGraph.from_uncertain(paper_graph)
-        requests = [(0, False), (1, False), (2, False), (1, True)]
-        reference = None
-        for executor, workers in (("serial", 1), ("thread", 3), ("process", 2)):
-            with ShardedWalkSampler(
-                seed=11, shard_size=64, num_workers=workers, executor=executor
-            ) as sampler:
-                bundles = sampler.sample_bundles(csr, requests, 4, 300)
-            if reference is None:
-                reference = bundles
-                continue
-            for request in requests:
-                assert np.array_equal(bundles[request], reference[request]), (
-                    executor,
-                    request,
-                )
-
     def test_matches_direct_keyed_call(self, paper_graph):
         """A sampled bundle is exactly the keyed sampler run on its world keys."""
         csr = CSRGraph.from_uncertain(paper_graph)
         sampler = ShardedWalkSampler(seed=11, shard_size=32)
-        bundle = sampler.sample_bundle(csr, 2, 4, 100)
+        bundle = _sample_bundle(sampler, csr, 2, 4, 100)
         direct = sample_walk_matrix_keyed(
             csr,
             np.full(100, 2, dtype=np.int64),
@@ -152,16 +134,12 @@ class TestShardedWalkSampler:
     def test_duplicate_requests_collapse(self, paper_graph):
         csr = CSRGraph.from_uncertain(paper_graph)
         sampler = ShardedWalkSampler(seed=3)
-        bundles = sampler.sample_bundles(csr, [(0, False), (0, False)], 3, 50)
-        assert set(bundles) == {(0, False)}
+        bundles = sampler.sample_bundles_mixed(csr, [(0, False, 50), (0, False, 50)], 3)
+        assert set(bundles) == {(0, False, 50)}
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ShardedWalkSampler(executor="gpu")
-        with pytest.raises(InvalidParameterError):
             ShardedWalkSampler(shard_size=0)
-        with pytest.raises(InvalidParameterError):
-            ShardedWalkSampler(num_workers=0)
 
 
 @pytest.mark.watchdog(180)
@@ -174,8 +152,8 @@ class TestSimilarityService:
             result = service.pair("v1", "v2")
         csr = CSRGraph.from_uncertain(paper_graph)
         sampler = ShardedWalkSampler(seed=9)
-        bundle_u = sampler.sample_bundle(csr, csr.index_of("v1"), 4, 200)
-        bundle_v = sampler.sample_bundle(csr, csr.index_of("v2"), 4, 200)
+        bundle_u = _sample_bundle(sampler, csr, csr.index_of("v1"), 4, 200)
+        bundle_v = _sample_bundle(sampler, csr, csr.index_of("v2"), 4, 200)
         meetings = meeting_probabilities_from_matrices(bundle_u, bundle_v, 4, False)
         assert result.score == simrank_from_meeting_probabilities(meetings, 0.6)
         assert result.details["service"] is True
@@ -187,29 +165,6 @@ class TestSimilarityService:
         ) as service:
             result = service.pair("v1", "v2")
         assert result.score == pytest.approx(exact, abs=0.025)
-
-    def test_results_bit_identical_across_executors(self, paper_graph):
-        """Acceptance pin at the service level: same seed, same answers,
-        regardless of worker pool kind or size."""
-        outcomes = []
-        for executor, workers in (("serial", 1), ("thread", 4), ("process", 2)):
-            with SimilarityService(
-                paper_graph,
-                iterations=4,
-                num_walks=500,
-                seed=17,
-                shard_size=64,
-                num_workers=workers,
-                executor=executor,
-            ) as service:
-                outcomes.append(
-                    (
-                        service.pair("v1", "v2").score,
-                        service.top_k_for_vertex("v1", 3),
-                        service.top_k_pairs(3),
-                    )
-                )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_top_k_matches_pairwise_answers(self, paper_graph):
         with SimilarityService(
@@ -445,8 +400,8 @@ class TestMeetingProbabilitiesAgainstMany:
     def test_matches_pairwise_helper(self, paper_graph, rng):
         csr = CSRGraph.from_uncertain(paper_graph)
         sampler = ShardedWalkSampler(seed=3)
-        query = sampler.sample_bundle(csr, 0, 4, 150)
-        candidates = [sampler.sample_bundle(csr, i, 4, 150) for i in (1, 2, 3)]
+        query = _sample_bundle(sampler, csr, 0, 4, 150)
+        candidates = [_sample_bundle(sampler, csr, i, 4, 150) for i in (1, 2, 3)]
         batched = meeting_probabilities_against_many(query, candidates, 4, chunk_size=2)
         for row, candidate in zip(batched, candidates):
             pairwise = meeting_probabilities_from_matrices(query, candidate, 4, False)
@@ -455,8 +410,8 @@ class TestMeetingProbabilitiesAgainstMany:
     def test_shape_validation(self, paper_graph):
         csr = CSRGraph.from_uncertain(paper_graph)
         sampler = ShardedWalkSampler(seed=3)
-        query = sampler.sample_bundle(csr, 0, 4, 50)
-        other = sampler.sample_bundle(csr, 1, 4, 60)
+        query = _sample_bundle(sampler, csr, 0, 4, 50)
+        other = _sample_bundle(sampler, csr, 1, 4, 60)
         with pytest.raises(InvalidParameterError):
             meeting_probabilities_against_many(query, [other], 4)
         with pytest.raises(InvalidParameterError):
@@ -535,17 +490,25 @@ class TestRunner:
         assert len(responses) == len(lines)
         return [response.get("error") for response in responses]
 
-    def test_create_graph_kernel_param_rejected(self):
-        """There is one walk kernel: ``params.kernel`` is an unknown field."""
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kernel", '"reference"'), ("executor", '"thread"'), ("num_workers", "2")],
+        ids=["kernel", "executor", "num_workers"],
+    )
+    def test_create_graph_kernel_param_rejected(self, field, value):
+        """Removed options (one walk kernel, one serial keyed sampler) are
+        unknown fields: one structured error, and the stream continues."""
         errors = self._errors(
             [
                 '{"op": "create_graph", "graph": "g", "edges": [["a", "b", 0.5]], '
-                '"params": {"kernel": "reference"}}',
+                f'"params": {{"{field}": {value}}}}}',
                 '{"op": "pair", "graph": "g", "u": "a", "v": "b"}',
+                '{"op": "pair", "u": "v1", "v": "v2"}',
             ]
         )
-        assert "unknown tenant config field(s) ['kernel']" in errors[0]
+        assert f"unknown tenant config field(s) ['{field}']" in errors[0]
         assert "unknown graph 'g'" in errors[1]
+        assert errors[2] is None
 
     @pytest.mark.parametrize(
         "params, field",

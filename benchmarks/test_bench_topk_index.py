@@ -132,10 +132,10 @@ def test_bench_topk_index_sink_query(benchmark):
 def test_topk_index_identity_under_sustained_ingest():
     """Indexed service answers stay bit-identical under concurrent ingest.
 
-    A no-index service replays the same mutation feed quiescently to build
-    the expected ranking per graph version; the indexed service answers
-    while the feed is in flight, and every answer must match the expectation
-    at the graph version its pinned epoch reports.
+    A standalone engine scan (no index) at every graph state of the
+    mutation feed gives the expected ranking per graph version; the indexed
+    service answers while the feed is in flight, and every answer must
+    match the expectation at the graph version its pinned epoch reports.
     """
     rounds = 3 if QUICK else 5
     num_walks = 120
@@ -153,15 +153,14 @@ def test_topk_index_identity_under_sustained_ingest():
     ]
 
     expected = {}
-    with SimilarityService(
-        fresh_graph(), num_walks=num_walks, seed=17, use_topk_index=False
-    ) as scan_service:
-        answer = scan_service.top_k_for_vertex(hub, 8, method=METHOD)
-        expected[answer.graph_version] = tuple(answer)
-        for log in logs:
-            scan_service.mutate(log)
-            answer = scan_service.top_k_for_vertex(hub, 8, method=METHOD)
-            expected[answer.graph_version] = tuple(answer)
+    for applied in range(rounds + 1):
+        frozen = fresh_graph()
+        for log in logs[:applied]:
+            log.apply_to(frozen)
+        engine = SimRankEngine(frozen, num_walks=num_walks, seed=17)
+        expected[frozen.version] = tuple(
+            top_k_similar_to(engine, hub, 8, method=METHOD, use_index=False)
+        )
 
     answers = []
     answers_lock = threading.Lock()

@@ -14,7 +14,9 @@ bundle is :meth:`repro.core.batch_walks.ShardedWalkSampler.store_key`, so
 bundles sampled by an engine and by a service tenant under one ``(seed,
 shard_size)`` scheme are interchangeable.
 :class:`~repro.core.executors.EngineCaches` keeps a second instance per
-snapshot for SR-SP propagation tables.
+snapshot for SR-SP propagation tables.  :class:`VersionedStoreView` pins a
+store to one graph snapshot: every engine snapshot (and so every published
+service epoch) resolves its bundles through one.
 
 All operations are thread-safe: the service's batch worker and any number of
 submitting threads may touch the store concurrently.  The store never holds
@@ -254,3 +256,40 @@ class WalkBundleStore:
                 self._stats.invalidations += 1
                 return True
             return False
+
+
+class VersionedStoreView:
+    """A read/write view of one bundle store pinned to one snapshot token.
+
+    Bundle-store keys do not carry the graph version (invalidation is
+    whole-store), so a reader that outlives a mutation must not touch the
+    store directly: it could read a bundle sampled on a newer graph, or leak
+    an old bundle into the new version's cache.  The view forwards every
+    operation through the store's version-checked entry points — while the
+    store is still bound to this view's token it behaves exactly like the
+    store; afterwards every ``get`` misses and every ``put`` is dropped, and
+    the retiring reader simply resamples (bit-identically) on its own pinned
+    snapshot.
+    """
+
+    __slots__ = ("_store", "token")
+
+    def __init__(self, store: WalkBundleStore, token: Hashable) -> None:
+        self._store = store
+        self.token = token
+
+    @property
+    def current(self) -> bool:
+        """Whether the backing store is still bound to this view's version."""
+        return self._store.version_token == self.token
+
+    def get(self, key: Hashable) -> Optional[Any]:
+        """Version-checked :meth:`WalkBundleStore.get`."""
+        return self._store.get_versioned(key, self.token)
+
+    def put(self, key: Hashable, bundle: Any) -> Any:
+        """Version-checked :meth:`WalkBundleStore.put`."""
+        return self._store.put_versioned(key, bundle, self.token)
+
+    def __repr__(self) -> str:
+        return f"VersionedStoreView(token={self.token!r}, current={self.current})"

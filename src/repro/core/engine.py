@@ -8,9 +8,13 @@ current graph state into an :class:`~repro.core.executors.EngineSnapshot`
 (pinned CSR + snapshot-scoped :class:`~repro.core.executors.EngineCaches`)
 and dispatches to the snapshot-scoped
 :class:`~repro.core.executors.MethodExecutor` registered for the method —
-the same executors the serving layer runs against epoch-pinned snapshots,
-so an engine and a service configured with the same ``seed`` / ``shard_size``
-answer bit-identically at equal graph states.
+the same executors the serving layer runs against epoch-pinned snapshots.
+The engine owns one keyed
+:class:`~repro.core.batch_walks.ShardedWalkSampler`
+(:attr:`SimRankEngine.sampler`), and :meth:`SimRankEngine.snapshot` is the
+only snapshot builder: a service tenant publishes its engine's snapshots as
+epochs, so an engine and a service configured with the same ``seed`` /
+``shard_size`` answer bit-identically at equal graph states.
 
 Multi-pair calls (:meth:`SimRankEngine.similarity_many`) share batch work
 per *unique endpoint*: walk bundles for the sampled stages, single-source
@@ -31,6 +35,7 @@ import numpy as np
 
 from repro.core.baseline import baseline_simrank_all_pairs
 from repro.core.batch_walks import DEFAULT_SHARD_SIZE, ShardedWalkSampler
+from repro.core.bundle_store import VersionedStoreView
 from repro.core.executors import (
     METHODS,
     EngineCaches,
@@ -140,6 +145,9 @@ class SimRankEngine:
             # No (or a generator) seed: derive the keyed-scheme base seed
             # from the generator so the engine stays self-consistent.
             self._seed = int(ensure_rng(seed).integers(2**63))
+        #: The engine's one keyed walk sampler; every snapshot resolves its
+        #: walk bundles through it.
+        self.sampler = ShardedWalkSampler(self._seed, self.shard_size)
         self._caches = EngineCaches(
             graph,
             self._graph_key(),
@@ -209,28 +217,32 @@ class SimRankEngine:
 
         The returned :class:`~repro.core.executors.EngineSnapshot` carries
         the pinned CSR, the snapshot-scoped caches, the engine parameters,
-        and a :class:`~repro.core.executors.WalkSource` over a
-        :class:`~repro.core.batch_walks.ShardedWalkSampler` with the engine's
-        ``(seed, shard_size)`` scheme (persisting bundles in
-        :attr:`bundle_store` when one is configured).  ``epoch_id`` is 0 —
-        engine snapshots are per-call views, not published epochs.
+        and a :class:`~repro.core.executors.WalkSource` over :attr:`sampler`.
+        With a :attr:`bundle_store`, the store is re-bound to this graph
+        version (dropping bundles of an older one) and the walk source
+        resolves through a
+        :class:`~repro.core.bundle_store.VersionedStoreView` pinned to it, so
+        a snapshot that outlives a mutation never reads or writes bundles of
+        the newer graph.  ``epoch_id`` is 0 until an
+        :class:`~repro.service.epoch.EpochManager` publishes the snapshot —
+        a service tenant publishes exactly these snapshots.
         """
         caches = self.caches
+        store = None
         if self.bundle_store is not None:
-            self.bundle_store.sync_version(self._graph_key())
+            token = self._graph_key()
+            self.bundle_store.sync_version(token)
+            store = VersionedStoreView(self.bundle_store, token)
         return EngineSnapshot(
             epoch_id=0,
             graph_version=self.graph.version,
             csr=caches.csr,
-            store_view=None,
             caches=caches,
             decay=self.decay,
             iterations=self.iterations,
             num_walks=self.num_walks,
             exact_prefix=self.exact_prefix,
-            walks=WalkSource(
-                ShardedWalkSampler(self._seed, self.shard_size), self.bundle_store
-            ),
+            walks=WalkSource(self.sampler, store),
         )
 
     # -- queries --------------------------------------------------------------

@@ -353,11 +353,11 @@ class WalkSource:
 
     A bundle need is ``(vertex_index, twin, num_walks)``.  Misses are
     sampled in one sweep of ``sampler`` and inserted into ``store`` — the
-    engine's ``bundle_store``, a service tenant's epoch
-    :class:`~repro.service.epoch.VersionedStoreView`, or any ``get``/``put``
-    mapping; ``None`` samples every need afresh.  :meth:`resolve` returns
-    direct references for the duration of the batch, so concurrent evictions
-    cannot pull a bundle out from under a query that planned on it.
+    :class:`~repro.core.bundle_store.VersionedStoreView` an engine snapshot
+    pins to its ``bundle_store``, or any ``get``/``put`` mapping; ``None``
+    samples every need afresh.  :meth:`resolve` returns direct references
+    for the duration of the batch, so concurrent evictions cannot pull a
+    bundle out from under a query that planned on it.
     """
 
     def __init__(
@@ -411,28 +411,22 @@ class EngineSnapshot:
     snapshot-scoped state (α cache, SR-SP filters, pinned CSR view) —
     replaced wholesale when the graph moves on, so a pinned snapshot keeps a
     consistent view of the retired version.  ``walks`` resolves walk-bundle
-    needs through the keyed sampler and a bundle store (the engine's
-    ``bundle_store``, or the tenant's epoch store view in the service);
-    ``store_view`` is the service's versioned bundle-store view (``None``
-    for engine-built snapshots).  ``epoch_id`` is 0 until an
-    :class:`~repro.service.epoch.EpochManager` publishes the snapshot.
+    needs through the engine's keyed sampler and, when the engine has a
+    ``bundle_store``, a :class:`~repro.core.bundle_store.VersionedStoreView`
+    of it pinned to this graph version (``walks.store``).  ``epoch_id`` is 0
+    until an :class:`~repro.service.epoch.EpochManager` publishes the
+    snapshot.
     """
 
     epoch_id: int
     graph_version: int
     csr: CSRGraph
-    store_view: "object | None"
     caches: EngineCaches
     decay: float
     iterations: int
     num_walks: int
     exact_prefix: int = DEFAULT_EXACT_PREFIX
     walks: Optional[WalkSource] = None
-
-    @property
-    def token(self) -> "Hashable | None":
-        """The snapshot identity ``(graph_id, version)`` this epoch pinned."""
-        return None if self.store_view is None else self.store_view.token
 
 
 class MethodExecutor:

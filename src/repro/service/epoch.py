@@ -9,18 +9,19 @@ that coordination with the classic epoch scheme of read-optimized stores
 
 * :class:`~repro.core.executors.EngineSnapshot` (defined with the method
   executors, re-exported here) — one immutable, self-sufficient read view of
-  a tenant: the pinned :class:`~repro.graph.csr.CSRGraph`, the engine's
-  snapshot-scoped caches (α cache + SR-SP filter vectors + pinned CSR view +
-  the epoch-scoped top-k index store and cross-batch transition cache,
-  see :class:`~repro.core.executors.EngineCaches` — top-k index artifacts
-  live and die with the snapshot's cache bundle, so epoch retirement
-  invalidates them for free), the engine parameters, a
-  *versioned read view* of the tenant's
-  :class:`~repro.core.bundle_store.WalkBundleStore`
-  (:class:`VersionedStoreView`) that can never serve or retain a bundle
-  belonging to a different graph version, and a
-  :class:`~repro.core.executors.WalkSource` resolving walk bundles through
-  that view and the tenant's keyed sampler.
+  a tenant, built by the tenant engine's
+  :meth:`~repro.core.engine.SimRankEngine.snapshot`: the pinned
+  :class:`~repro.graph.csr.CSRGraph`, the engine's snapshot-scoped caches
+  (α cache, SR-SP filter vectors and tables, the top-k index store and the
+  cross-batch transition cache, see
+  :class:`~repro.core.executors.EngineCaches` — all of it lives and dies
+  with the snapshot, so epoch retirement invalidates it for free), the
+  engine parameters, and a :class:`~repro.core.executors.WalkSource` that
+  resolves walk bundles through the engine's keyed sampler and a
+  :class:`VersionedStoreView` of the tenant's
+  :class:`~repro.core.bundle_store.WalkBundleStore` (defined with the store,
+  re-exported here), which can never serve or retain a bundle of a
+  different graph version.
 * :class:`EpochManager` — publishes snapshots atomically.  Readers
   :meth:`~EpochManager.pin` the current epoch (a refcounted
   :class:`EpochLease`); the writer publishes a successor and *retires* the
@@ -47,11 +48,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.core.bundle_store import WalkBundleStore
+from repro.core.bundle_store import VersionedStoreView
 from repro.core.executors import EngineSnapshot
 from repro.utils.errors import InvalidParameterError
 
@@ -62,43 +61,6 @@ __all__ = [
     "EpochManager",
     "VersionedStoreView",
 ]
-
-
-class VersionedStoreView:
-    """A read/write view of one bundle store pinned to one snapshot token.
-
-    Bundle-store keys do not carry the graph version (invalidation is
-    whole-store), so a reader that outlives a mutation must not touch the
-    store directly: it could read a bundle sampled on a newer graph, or leak
-    an old bundle into the new version's cache.  The view forwards every
-    operation through the store's version-checked entry points — while the
-    store is still bound to this view's token it behaves exactly like the
-    store; afterwards every ``get`` misses and every ``put`` is dropped, and
-    the retiring reader simply resamples (bit-identically) on its own pinned
-    snapshot.
-    """
-
-    __slots__ = ("_store", "token")
-
-    def __init__(self, store: WalkBundleStore, token: Hashable) -> None:
-        self._store = store
-        self.token = token
-
-    @property
-    def current(self) -> bool:
-        """Whether the backing store is still bound to this view's version."""
-        return self._store.version_token == self.token
-
-    def get(self, key: Hashable) -> Optional[np.ndarray]:
-        """Version-checked :meth:`WalkBundleStore.get`."""
-        return self._store.get_versioned(key, self.token)
-
-    def put(self, key: Hashable, bundle: np.ndarray) -> np.ndarray:
-        """Version-checked :meth:`WalkBundleStore.put`."""
-        return self._store.put_versioned(key, bundle, self.token)
-
-    def __repr__(self) -> str:
-        return f"VersionedStoreView(token={self.token!r}, current={self.current})"
 
 
 class Epoch:

@@ -32,8 +32,10 @@ to: under concurrent ingest (``--read-workers`` > 1 with mutations in
 flight) this names the exact graph state the scores are bit-identical to.
 Top-k answers served through the epoch-scoped walk-fingerprint index
 additionally carry ``candidates_total`` / ``candidates_rescored`` (both
-deterministic; disable the index with ``--no-topk-index`` for the bare
-pre-index response shape — the rankings are identical either way).
+deterministic).  Whether a query uses the index is decided by what it
+covers — top-k queries over at least half the graph's vertices do, thin
+candidate slices are scanned — and by the index byte budget
+(``--topk-index-budget-mb``); the rankings are identical either way.
 
 Control requests::
 
@@ -426,12 +428,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
         help="per-tenant walk-bundle store budget in MiB (0 = unbounded)",
     )
     parser.add_argument(
-        "--no-topk-index",
-        action="store_true",
-        help="answer top-k queries by the plain chunked scan instead of the "
-        "epoch-scoped walk-fingerprint index (answers are identical)",
-    )
-    parser.add_argument(
         "--topk-index-budget-mb",
         type=float,
         default=None,
@@ -523,7 +519,6 @@ def run(argv: Optional[List[str]] = None, stdin: Optional[IO[str]] = None,
             degrade_queue_depth=args.degrade_queue_depth,
             degrade_fraction=args.degrade_fraction,
             verify_mutations=args.verify_mutations,
-            use_topk_index=not args.no_topk_index,
             obs=obs,
             **index_kwargs,
         )

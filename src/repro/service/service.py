@@ -54,16 +54,12 @@ answered it.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-
-import numpy as np
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.batch_walks import DEFAULT_SHARD_SIZE, ShardedWalkSampler
@@ -76,14 +72,14 @@ from repro.core.simrank import (
     SimRankResult,
 )
 from repro.core.sampling import DEFAULT_NUM_WALKS
-from repro.core.topk import PAIR_CHUNK_SIZE, rank_top_k
-from repro.core.topk_index import (
-    DEFAULT_INDEX_BUDGET_BYTES,
-    TopKIndex,
-    pruned_top_k_pairs,
-    pruned_top_k_vertex,
-    snapshot_index,
+from repro.core.topk import (
+    all_pairs_top_k,
+    checked_candidates,
+    pair_top_k,
+    top_k_of,
+    vertex_top_k,
 )
+from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES, TopKIndex, snapshot_index
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.obs import Gauge, MetricsRegistry, Observability, QueryTrace
 from repro.service.epoch import EpochLease
@@ -269,7 +265,8 @@ class _QueryPlan:
     admitted per-query ``num_walks`` override (``None`` = tenant default,
     part of the executor-group key so mixed-fidelity batches never mix
     bundles); ``items`` holds the ranked candidates (vertices or pairs) in
-    submission order for deterministic tie-breaking.
+    submission order for deterministic tie-breaking, and ``query`` the
+    query vertex of a ``"topk_vertex"`` plan.
     """
 
     kind: str
@@ -278,6 +275,7 @@ class _QueryPlan:
     pairs: List[Tuple[Vertex, Vertex]] = field(default_factory=list)
     items: list = field(default_factory=list)
     k: int = 0
+    query: Optional[Vertex] = None
     # Graceful degradation: this plan's walk count was truncated under queue
     # pressure; ``walks_used`` is the achieved count stamped on the answer.
     degraded: bool = False
@@ -457,7 +455,6 @@ class SimilarityService:
         registry: Optional[GraphRegistry] = None,
         default_graph: str = DEFAULT_GRAPH_NAME,
         verify_mutations: bool = False,
-        use_topk_index: bool = True,
         topk_index_budget_bytes: Optional[int] = DEFAULT_INDEX_BUDGET_BYTES,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -506,7 +503,6 @@ class SimilarityService:
                     max_qps=max_qps,
                     max_inflight=max_inflight,
                     max_queue_depth=max_queue_depth,
-                    use_topk_index=use_topk_index,
                     topk_index_budget_bytes=topk_index_budget_bytes,
                 ),
                 verify_mutations=verify_mutations,
@@ -516,7 +512,6 @@ class SimilarityService:
         self.max_batch_size = max_batch_size
         self.batch_wait_seconds = batch_wait_seconds
         self.read_workers = int(read_workers)
-        self.use_topk_index = bool(use_topk_index)
         self.degrade_queue_depth = (
             int(degrade_queue_depth) if degrade_queue_depth is not None else None
         )
@@ -810,7 +805,6 @@ class SimilarityService:
         """
         stats: Dict[str, object] = self.stats.snapshot()
         stats["read_workers"] = self.read_workers
-        stats["use_topk_index"] = self.use_topk_index
         # Instantaneous queue depths: work accepted but not yet started.
         # qsize() is approximate under concurrency, which is fine for
         # observability — these answer "is the service keeping up?".
@@ -1102,39 +1096,32 @@ class SimilarityService:
         for (method, walks), entries in groups.items():
             executor = executor_for(method)(snapshot)
             overrides: Dict[str, object] = {} if walks is None else {"num_walks": walks}
-            # Both top-k plan kinds route through the epoch-scoped index when
-            # the tenant allows it, the snapshot can serve one, and the plan
-            # covers enough of the graph to justify it; a ``None`` index
-            # (artifact over the byte budget) degrades to the scan with
-            # identical answers.  The index lookup itself is per group, so
-            # its build cost (a cache miss) is paid once per (method, walks).
+            # Top-k plans that cover enough of the graph route through the
+            # epoch-scoped index; a ``None`` index (artifact over the byte
+            # budget) degrades to the scan with identical answers.  The
+            # lookup is per group, so its build cost (a cache miss) is paid
+            # once per (method, walks).
+            covered = {
+                id(entry) for entry in entries if self._index_covers(entry[1], snapshot)
+            }
             index: Optional[TopKIndex] = None
-            covered = [
-                entry for entry in entries if self._index_covers(entry[1], snapshot)
-            ]
-            if covered and self.use_topk_index and tenant.config.use_topk_index:
+            if covered:
                 index = snapshot_index(snapshot, method, num_walks=walks)
                 tenant.record_index_lookup(
                     hit=index is not None and index.cache_hit,
                     usable=index is not None,
                 )
-            indexable = set(map(id, covered))
-            indexed = []
-            scored = []
-            streamed = []
+            # Answered one by one through core.topk: the default pair space
+            # (streamed, pruned per chunk when indexed) and the indexed plans.
+            # Everything else shares the group's one run_batch.
+            ranked: List[Tuple[_QueryItem, _QueryPlan]] = []
+            scored: List[Tuple[_QueryItem, _QueryPlan]] = []
             for entry in entries:
-                kind = entry[1].kind
-                if kind == "all_pairs":
-                    streamed.append(entry)
-                elif (
-                    index is not None
-                    and id(entry) in indexable
-                    and kind in ("topk_vertex", "topk_pairs")
-                ):
-                    indexed.append(entry)
-                else:
-                    scored.append(entry)
-            for item, plan in indexed:
+                alone = entry[1].kind == "all_pairs" or (
+                    index is not None and id(entry) in covered
+                )
+                (ranked if alone else scored).append(entry)
+            for item, plan in ranked:
                 # Per-query work: the executor's stage spans and the index's
                 # bound/prune/rescore spans attribute to this query alone.
                 scope = self.obs.scope([item.trace])
@@ -1142,12 +1129,8 @@ class SimilarityService:
                 try:
                     self._finish_query(
                         item,
-                        result=self._mark_degraded(
-                            plan,
-                            self._answer_indexed(
-                                tenant, snapshot, executor, index, plan,
-                                overrides, obs=scope,
-                            ),
+                        result=self._answer_top_k(
+                            tenant, snapshot, executor, plan, overrides, index, scope
                         ),
                     )
                 except Exception as error:
@@ -1164,8 +1147,8 @@ class SimilarityService:
                     results = executor.run_batch(flat, overrides)
                 except Exception:
                     # The shared batch failed — e.g. one query's endpoint
-                    # blew the exact walk-state budget or broke the sampler
-                    # pool.  Retry per query on the same executor (keyed
+                    # blew the exact walk-state budget or broke the sampler.
+                    # Retry per query on the same executor (keyed
                     # randomness: answers cannot change) so the failure
                     # stays with the query that caused it.
                     for item, plan in scored:
@@ -1194,22 +1177,6 @@ class SimilarityService:
                             )
                         except Exception as error:
                             self._finish_query(item, error=error)
-            for item, plan in streamed:
-                scope = self.obs.scope([item.trace])
-                executor.obs_scope = scope
-                try:
-                    self._finish_query(
-                        item,
-                        result=self._mark_degraded(
-                            plan,
-                            self._answer_all_pairs_streamed(
-                                tenant, snapshot, executor, plan, overrides,
-                                index, obs=scope,
-                            ),
-                        ),
-                    )
-                except Exception as error:
-                    self._finish_query(item, error=error)
 
     # -- planning and answering ------------------------------------------------
 
@@ -1279,6 +1246,8 @@ class SimilarityService:
         whose endpoints cover at least half the graph (the default top-k
         candidate spaces always do) route through the index.
         """
+        if plan.kind == "pair":
+            return False
         if plan.kind == "all_pairs":
             return True
         if plan.kind == "topk_vertex":
@@ -1359,17 +1328,9 @@ class SimilarityService:
                 walks = reduced
                 degraded = True
                 walks_used = reduced
-        csr = snapshot.csr
-
-        def require(vertex: Vertex) -> None:
-            if not csr.has_vertex(vertex):
-                raise InvalidParameterError(
-                    f"vertex {vertex!r} is not in the graph"
-                )
-
         if isinstance(query, PairQuery):
-            require(query.u)
-            require(query.v)
+            # The one candidate validator; a single pair has no k to check.
+            checked_candidates(snapshot.csr, 1, [(query.u, query.v)], pairs=True)
             return _QueryPlan(
                 "pair",
                 query.method,
@@ -1380,18 +1341,9 @@ class SimilarityService:
                 accuracy=float(accuracy) if accuracy is not None else None,
             )
         if isinstance(query, TopKVertexQuery):
-            if query.k < 1:
-                raise InvalidParameterError(f"k must be >= 1, got {query.k}")
-            require(query.query)
-            if query.candidates is None:
-                candidates = [v for v in csr.vertices if v != query.query]
-            else:
-                candidates = []
-                for vertex in query.candidates:
-                    if vertex == query.query:
-                        continue
-                    require(vertex)
-                    candidates.append(vertex)
+            candidates = checked_candidates(
+                snapshot.csr, query.k, query.candidates, query=query.query
+            )
             return _QueryPlan(
                 "topk_vertex",
                 query.method,
@@ -1399,34 +1351,23 @@ class SimilarityService:
                 pairs=[(query.query, candidate) for candidate in candidates],
                 items=candidates,
                 k=query.k,
+                query=query.query,
                 degraded=degraded,
                 walks_used=walks_used,
             )
-        if query.k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {query.k}")
-        if query.candidate_pairs is None:
-            # The quadratic default pair space is streamed chunk by chunk
-            # rather than planned here: scoring it as one batch would pin
-            # every vertex's bundle live at once, defeating the store's LRU
-            # budget.
-            return _QueryPlan(
-                "all_pairs",
-                query.method,
-                walks,
-                k=query.k,
-                degraded=degraded,
-                walks_used=walks_used,
-            )
-        pairs = [(u, v) for u, v in query.candidate_pairs]
-        for u, v in pairs:
-            require(u)
-            require(v)
+        # The quadratic default pair space (no candidates) is streamed chunk
+        # by chunk rather than planned here: scoring it as one batch would
+        # pin every vertex's bundle live at once, defeating the store's LRU
+        # budget.
+        pairs = checked_candidates(
+            snapshot.csr, query.k, query.candidate_pairs, pairs=True
+        )
         return _QueryPlan(
-            "topk_pairs",
+            "all_pairs" if pairs is None else "topk_pairs",
             query.method,
             walks,
-            pairs=pairs,
-            items=pairs,
+            pairs=pairs or [],
+            items=pairs or [],
             k=query.k,
             degraded=degraded,
             walks_used=walks_used,
@@ -1447,16 +1388,10 @@ class SimilarityService:
             return self._mark_degraded(plan, result)
         # Scores come from the same executors as pair queries, so a top-k
         # entry and the corresponding pair query agree bit-for-bit; ranking
-        # is deterministic (ties keep candidate order).
-        scores = [result.score for result in results]
-        order = rank_top_k(plan.k, scores)
-        if plan.kind == "topk_vertex":
-            ranked: list = [(plan.items[index], scores[index]) for index in order]
-        else:
-            ranked = [
-                (plan.items[index][0], plan.items[index][1], scores[index])
-                for index in order
-            ]
+        # is core.topk's (ties keep candidate order).
+        ranked: list = top_k_of(plan.k, plan.items, results)
+        if plan.kind == "topk_pairs":
+            ranked = [(u, v, score) for (u, v), score in ranked]
         return self._mark_degraded(
             plan,
             TopKResult(
@@ -1467,149 +1402,45 @@ class SimilarityService:
             ),
         )
 
-    def _answer_indexed(
+    def _answer_top_k(
         self,
         tenant: GraphTenant,
         snapshot: EngineSnapshot,
         executor: MethodExecutor,
-        index: TopKIndex,
         plan: _QueryPlan,
         overrides: Dict[str, object],
-        obs=None,
+        index: Optional[TopKIndex],
+        obs,
     ) -> "TopKResult":
-        """Answer one top-k plan through the pruned two-phase index path.
+        """Answer one top-k plan on its own through :mod:`repro.core.topk`.
 
-        Bit-identical to :meth:`_assemble` over a full ``run_batch``: the
-        pruned ranking preserves :func:`rank_top_k` tie-breaking, and the
-        surviving candidates rescore through the *same* group executor a
-        scan would use.
+        The default pair space streams through ``all_pairs_top_k`` (pruned
+        per chunk when ``index`` is given); the other kinds only come here
+        with an index.  Bit-identical to :meth:`_assemble` over a full
+        ``run_batch``: the same executor scores, the same tie rule ranks.
+        Indexed answers carry the prune counters, and the tenant tallies
+        them.
         """
-        if plan.kind == "topk_vertex":
-            if not plan.items:
-                tenant.record_prune(0, 0)
-                return TopKResult(
-                    [],
-                    epoch=snapshot.epoch_id,
-                    graph_version=snapshot.graph_version,
-                    graph=tenant.name,
-                    candidates_total=0,
-                    candidates_rescored=0,
-                    index_build_ms=index.build_ms,
-                )
-            ranked, prune = pruned_top_k_vertex(
-                executor, index, plan.pairs[0][0], plan.items, plan.k, overrides,
-                obs=obs if obs is not None else self.obs.scope(),
+        if plan.kind == "all_pairs":
+            ranked, prune = all_pairs_top_k(executor, plan.k, overrides, index, obs)
+        elif plan.kind == "topk_vertex":
+            ranked, prune = vertex_top_k(
+                executor, plan.query, plan.items, plan.k, overrides, index, obs
             )
-            items: list = [(vertex, result.score) for vertex, result in ranked]
         else:
-            ranked, prune = pruned_top_k_pairs(
-                executor, index, plan.items, plan.k, overrides,
-                obs=obs if obs is not None else self.obs.scope(),
-            )
-            items = [(u, v, result.score) for (u, v), result in ranked]
-        tenant.record_prune(prune.candidates_total, prune.candidates_rescored)
-        return TopKResult(
-            items,
+            ranked, prune = pair_top_k(executor, plan.items, plan.k, overrides, index, obs)
+        result = TopKResult(
+            ranked,
             epoch=snapshot.epoch_id,
             graph_version=snapshot.graph_version,
             graph=tenant.name,
-            candidates_total=prune.candidates_total,
-            candidates_rescored=prune.candidates_rescored,
-            index_build_ms=prune.index_build_ms,
         )
-
-    def _answer_all_pairs_streamed(
-        self,
-        tenant: GraphTenant,
-        snapshot: EngineSnapshot,
-        executor: MethodExecutor,
-        plan: _QueryPlan,
-        overrides: Dict[str, object],
-        index: Optional[TopKIndex] = None,
-        obs=None,
-    ) -> "TopKResult":
-        """Top-k over the default quadratic pair space, chunk by chunk.
-
-        Each chunk scores through the group's executor, sharing prefix work
-        and bundles within the chunk; between chunks the executor's shared
-        state is reset (and the store's LRU budget bounds bundle residency),
-        so memory stays O(k + chunk) no matter the graph size.  Tie-breaking
-        matches :func:`rank_top_k`.
-
-        With an ``index``, once ``k`` scores are held each chunk drops the
-        pairs whose upper bound is *strictly* below the current k-th best
-        before rescoring — they can never displace a held entry nor tie one
-        (ties only arise at equal scores, and a dropped pair's score is
-        strictly below), so the answer is unchanged.  Candidate positions
-        are assigned before pruning, keeping tie order identical.
-        """
-        best: List[Tuple[float, int, Vertex, Vertex]] = []
-        counter = 0
-        chunk: List[Tuple[Vertex, Vertex]] = []
-        candidates_total = 0
-        candidates_rescored = 0
-        csr = snapshot.csr
-        scope = obs if obs is not None else self.obs.scope()
-
-        def score_chunk() -> None:
-            nonlocal counter, candidates_total, candidates_rescored
-            positions = range(counter, counter + len(chunk))
-            counter += len(chunk)
-            candidates_total += len(chunk)
-            to_score: Sequence[Tuple[Vertex, Vertex]] = chunk
-            kept_positions: Sequence[int] = positions
-            if index is not None and len(best) >= plan.k:
-                with scope.stage("index_bound"):
-                    kth = best[0][0]
-                    u_indices = np.fromiter(
-                        (csr.index_of(u) for u, _ in chunk),
-                        dtype=np.int64,
-                        count=len(chunk),
-                    )
-                    v_indices = np.fromiter(
-                        (csr.index_of(v) for _, v in chunk),
-                        dtype=np.int64,
-                        count=len(chunk),
-                    )
-                    survivors = index.bounds_for_pairs(u_indices, v_indices) >= kth
-                with scope.stage("index_prune"):
-                    to_score = [
-                        pair for pair, kept in zip(chunk, survivors) if kept
-                    ]
-                    kept_positions = [
-                        position
-                        for position, kept in zip(positions, survivors)
-                        if kept
-                    ]
-            candidates_rescored += len(to_score)
-            scored = executor.run_batch(list(to_score), overrides)
-            for (u, v), position, result in zip(to_score, kept_positions, scored):
-                item = (result.score, -position, u, v)
-                if len(best) < plan.k:
-                    heapq.heappush(best, item)
-                elif item > best[0]:
-                    heapq.heapreplace(best, item)
-            executor.reset_shared_state()
-
-        for pair in itertools.combinations(snapshot.csr.vertices, 2):
-            chunk.append(pair)
-            if len(chunk) >= PAIR_CHUNK_SIZE:
-                score_chunk()
-                chunk = []
-        if chunk:
-            score_chunk()
-        ranked = sorted(best, reverse=True)
-        if index is not None:
-            tenant.record_prune(candidates_total, candidates_rescored)
-        return TopKResult(
-            [(u, v, score) for score, _, u, v in ranked],
-            epoch=snapshot.epoch_id,
-            graph_version=snapshot.graph_version,
-            graph=tenant.name,
-            candidates_total=candidates_total if index is not None else None,
-            candidates_rescored=candidates_rescored if index is not None else None,
-            index_build_ms=index.build_ms if index is not None else None,
-        )
+        if prune is not None:
+            tenant.record_prune(prune.candidates_total, prune.candidates_rescored)
+            result.candidates_total = prune.candidates_total
+            result.candidates_rescored = prune.candidates_rescored
+            result.index_build_ms = prune.index_build_ms
+        return self._mark_degraded(plan, result)
 
 
 def _resolve(future: "Future", result: object = None, error: "Exception | None" = None) -> None:

@@ -11,9 +11,10 @@ provides that layer:
   :class:`~repro.graph.uncertain_graph.UncertainGraph` and reports exactly
   which adjacency rows it dirtied.
 * :class:`GraphTenant` — one hosted graph together with its private
-  :class:`~repro.core.bundle_store.WalkBundleStore` (own byte budget),
-  :class:`~repro.core.batch_walks.ShardedWalkSampler` (own seed / shard
-  scheme) and :class:`~repro.core.engine.SimRankEngine` parameters.
+  :class:`~repro.core.bundle_store.WalkBundleStore` (own byte budget) and
+  the :class:`~repro.core.engine.SimRankEngine` wired to it (own seed /
+  shard scheme and engine parameters; the engine's keyed sampler is the
+  tenant's).
 * :class:`GraphRegistry` — the name → tenant mapping hosted inside one
   :class:`~repro.service.service.SimilarityService` process, with
   create / get / drop lifecycle and per-tenant mutation ingest.
@@ -28,9 +29,11 @@ mode cross-checks every incremental rebuild against a full re-freeze.
 
 Thread safety: each tenant is a single-writer / multi-reader structure.
 Mutation ingest (:meth:`GraphTenant.apply`) runs under the tenant's write
-lock and finishes by *publishing a new epoch* — an immutable
-:class:`~repro.service.epoch.EngineSnapshot` installed atomically through
-the tenant's :class:`~repro.service.epoch.EpochManager`.  Readers
+lock and finishes by *publishing a new epoch* — the immutable
+:class:`~repro.service.epoch.EngineSnapshot` that the tenant engine's
+:meth:`~repro.core.engine.SimRankEngine.snapshot` builds, installed
+atomically through the tenant's
+:class:`~repro.service.epoch.EpochManager`.  Readers
 (:meth:`GraphTenant.pin_epoch`) lease whatever epoch is current and keep
 answering from it even while the next mutation batch is being applied; a
 retired epoch is freed when its last lease drains.  The registry's
@@ -51,19 +54,13 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tupl
 from repro.core.batch_walks import DEFAULT_SHARD_SIZE, ShardedWalkSampler
 from repro.core.bundle_store import DEFAULT_BUDGET_BYTES, WalkBundleStore
 from repro.core.engine import SimRankEngine
-from repro.core.executors import WalkSource
 from repro.core.sampling import DEFAULT_NUM_WALKS
 from repro.core.simrank import DEFAULT_DECAY, DEFAULT_ITERATIONS
 from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.obs import NULL_HISTOGRAM, MetricsRegistry
-from repro.service.epoch import (
-    EngineSnapshot,
-    EpochLease,
-    EpochManager,
-    VersionedStoreView,
-)
+from repro.service.epoch import EpochLease, EpochManager
 from repro.utils.errors import InvalidParameterError
 
 Vertex = Hashable
@@ -265,11 +262,6 @@ class TenantConfig:
     #: Admission cap on per-query ``num_walks`` overrides (``None`` = no cap;
     #: the tenant's configured ``num_walks`` default is always admitted).
     max_num_walks: Optional[int] = None
-    #: Whether this tenant's top-k queries may route through the epoch-scoped
-    #: walk-fingerprint index (:mod:`repro.core.topk_index`).  Answers are
-    #: identical either way; opting out trades index build/storage cost for
-    #: the plain chunked scan.
-    use_topk_index: bool = True
     #: Byte budget of the tenant's per-epoch top-k index artifacts
     #: (``None`` = unbounded).
     topk_index_budget_bytes: Optional[int] = DEFAULT_INDEX_BUDGET_BYTES
@@ -338,8 +330,9 @@ class GraphTenant:
     """One named graph hosted in a registry, with private serving state.
 
     A tenant owns everything query answering needs — the graph, a bundle
-    store under its own byte budget, a keyed walk sampler, and a
-    :class:`~repro.core.engine.SimRankEngine` wired to the store — so that
+    store under its own byte budget, and a
+    :class:`~repro.core.engine.SimRankEngine` wired to the store, whose
+    keyed walk sampler and snapshots the tenant serves from — so that
     tenants never contend for cache budget and a mutation of one tenant
     cannot invalidate another's bundles.
 
@@ -372,16 +365,12 @@ class GraphTenant:
         self.graph = graph
         self.config = config
         self.store = WalkBundleStore(config.store_budget_bytes)
-        self.sampler = ShardedWalkSampler(config.seed, config.shard_size)
         self.engine = SimRankEngine(
             graph,
             decay=config.decay,
             iterations=config.iterations,
             num_walks=config.num_walks,
             seed=config.seed,
-            # The engine and the sampler must share one (seed, shard_size)
-            # keyed scheme so that a standalone engine at a pinned graph
-            # version answers bit-identically to the service.
             shard_size=config.shard_size,
             bundle_store=self.store,
             topk_index_budget_bytes=config.topk_index_budget_bytes,
@@ -412,6 +401,11 @@ class GraphTenant:
         self._snapshot_ms_hist = NULL_HISTOGRAM
         self.last_apply_ms: Optional[float] = None
         self.last_snapshot_ms: Optional[float] = None
+
+    @property
+    def sampler(self) -> ShardedWalkSampler:
+        """The tenant engine's keyed walk sampler (the one every epoch uses)."""
+        return self.engine.sampler
 
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
         """Resolve this tenant's ingest-latency histograms from ``metrics``.
@@ -449,42 +443,23 @@ class GraphTenant:
             if current is None or (
                 current.snapshot.graph_version != self.graph.version
             ):
-                self._publish_epoch(CSRGraph.from_uncertain(self.graph))
+                self._publish_epoch()
             return self.epochs.pin()
 
-    def _publish_epoch(self, csr: CSRGraph) -> bool:
-        """Publish ``csr`` as the next epoch (caller holds the write lock).
+    def _publish_epoch(self) -> bool:
+        """Publish the engine's snapshot as the next epoch (caller holds the
+        write lock).
 
-        Re-binds the bundle store to the snapshot's provenance token
-        (dropping stale bundles exactly as a plain mutation always did) and
-        freezes the engine's snapshot-scoped caches into the published
-        :class:`~repro.service.epoch.EngineSnapshot`.  Returns whether the
-        store actually dropped entries (i.e. the version really changed).
+        Re-binds the bundle store to the graph's current version first, so
+        the return value says whether the store actually dropped entries
+        (i.e. the version really changed); the engine snapshot then pins a
+        versioned view of the re-bound store.  No re-freeze happens here:
+        both CSR rebuild paths install their snapshot in the graph's
+        per-version cache, so the engine's refreshed caches pin that very
+        object.
         """
-        token = csr.snapshot_token
-        if token is None:  # pragma: no cover - tenants always freeze graphs
-            raise InvalidParameterError(
-                "cannot publish an epoch from a snapshot without provenance "
-                "(build it with CSRGraph.from_uncertain)"
-            )
-        invalidated = self.store.sync_version(token)
-        view = VersionedStoreView(self.store, token)
-        snapshot = EngineSnapshot(
-            epoch_id=0,  # assigned by the manager
-            graph_version=csr.version,
-            csr=csr,
-            store_view=view,
-            # No re-freeze here: ``csr`` is installed in the graph's
-            # per-version snapshot cache (both rebuild paths do), so the
-            # refreshed caches pin this very object, not a second copy.
-            caches=self.engine.caches,
-            decay=self.engine.decay,
-            iterations=self.engine.iterations,
-            num_walks=self.engine.num_walks,
-            exact_prefix=self.engine.exact_prefix,
-            walks=WalkSource(self.sampler, view),
-        )
-        self.epochs.publish(snapshot)
+        invalidated = self.store.sync_version((id(self.graph), self.graph.version))
+        self.epochs.publish(self.engine.snapshot())
         return invalidated
 
     # -- mutation ingest ------------------------------------------------------
@@ -511,7 +486,9 @@ class GraphTenant:
                 incremental = True
                 start = time.perf_counter()
                 try:
-                    csr = CSRGraph.from_uncertain_incremental(
+                    # Installed in the graph's per-version snapshot cache,
+                    # where the engine's refreshed caches pick it up.
+                    CSRGraph.from_uncertain_incremental(
                         self.graph, previous, dirty, verify=verify
                     )
                 except InvalidParameterError:
@@ -520,10 +497,10 @@ class GraphTenant:
                     # rebuild rather than failing the ingest.
                     incremental = False
                     start = time.perf_counter()
-                    csr = CSRGraph.from_uncertain(self.graph)
+                    CSRGraph.from_uncertain(self.graph)
                 snapshot_ms = 1000.0 * (time.perf_counter() - start)
                 entries = len(self.store)
-                invalidated = entries if self._publish_epoch(csr) else 0
+                invalidated = entries if self._publish_epoch() else 0
                 self.mutations_applied += 1
                 self.ops_applied += len(log)
                 apply_ms = 1000.0 * (time.perf_counter() - apply_start)
@@ -574,7 +551,6 @@ class GraphTenant:
             total = self.prune_candidates_total
             rescored = self.prune_candidates_rescored
             counters: Dict[str, object] = {
-                "enabled": self.config.use_topk_index,
                 "lookups": self.index_lookups,
                 "usable": self.index_usable,
                 "hits": self.index_hits,

@@ -15,9 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch_walks import sample_walk_matrix_keyed
+from repro.core.batch_walks import ShardedWalkSampler, sample_walk_matrix_keyed
 from repro.core.engine import SimRankEngine
-from repro.core.topk import rank_top_k
+from repro.core.executors import WalkSource
+from repro.core.topk import rank_top_k, top_k_similar_pairs, top_k_similar_to
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph, example_graph
 from repro.service import (
@@ -50,11 +51,11 @@ def _snapshot(epoch_id: int = 0, version: int = 0) -> EngineSnapshot:
         epoch_id=epoch_id,
         graph_version=version,
         csr=CSRGraph.from_uncertain(graph),
-        store_view=VersionedStoreView(store, token),
         caches=None,  # type: ignore[arg-type] - not exercised here
         decay=0.6,
         iterations=4,
         num_walks=100,
+        walks=WalkSource(ShardedWalkSampler(0), VersionedStoreView(store, token)),
     )
 
 
@@ -179,8 +180,8 @@ class TestTenantEpochs:
             # The old lease still sees its own frozen CSR and store view.
             assert old.csr.num_arcs == 8
             assert fresh.snapshot.csr.num_arcs == 9
-            assert not old.store_view.current
-            assert fresh.snapshot.store_view.current
+            assert not old.walks.store.current
+            assert fresh.snapshot.walks.store.current
         assert tenant.epochs.stats()["live"] == 2
         lease.release()
         assert tenant.epochs.stats()["live"] == 1
@@ -1000,19 +1001,22 @@ class TestChunkHeuristicIdentity:
 
 class TestIndexedTopKThroughService:
     """The walk-fingerprint index on the service path: identical answers to
-    a no-index service, prune provenance on results and tenant stats."""
+    the standalone engine scan, prune provenance on results and tenant
+    stats, and the scan for thin candidate slices."""
 
-    def test_indexed_matches_no_index_service(self):
-        answers = {}
-        for use_index in (True, False):
-            with SimilarityService(
-                example_graph(), num_walks=200, seed=9, use_topk_index=use_index
-            ) as service:
-                answers[use_index] = (
-                    tuple(service.top_k_for_vertex("v1", 3, method="sampling")),
-                    tuple(service.top_k_pairs(3, method="sampling")),
-                )
-        assert answers[True] == answers[False]
+    def test_indexed_matches_standalone_engine_scan(self):
+        with SimilarityService(example_graph(), num_walks=200, seed=9) as service:
+            top_vertex = service.top_k_for_vertex("v1", 3, method="sampling")
+            top_pairs = service.top_k_pairs(3, method="sampling")
+        assert top_vertex.candidates_total is not None
+        assert top_pairs.candidates_total is not None
+        engine = SimRankEngine(example_graph(), num_walks=200, seed=9)
+        assert list(top_vertex) == top_k_similar_to(
+            engine, "v1", 3, method="sampling", use_index=False
+        )
+        assert list(top_pairs) == top_k_similar_pairs(
+            engine, 3, method="sampling", use_index=False
+        )
 
     def test_prune_counters_surface_on_results_and_stats(self):
         with SimilarityService(
@@ -1023,19 +1027,28 @@ class TestIndexedTopKThroughService:
         assert top.candidates_total is not None
         assert top.candidates_rescored is not None
         assert 0 < top.candidates_rescored <= top.candidates_total
-        assert stats["enabled"] and stats["usable"] > 0
+        assert stats["usable"] > 0
         assert stats["candidates_rescored"] == top.candidates_rescored
         assert stats["store"]["entries"] > 0
 
-    def test_opt_out_service_reports_disabled_index(self):
+    def test_thin_candidate_query_is_scanned(self):
+        """A candidate slice under half the graph is cheaper to scan than to
+        index: no index lookup, and the answer carries no prune counters."""
         with SimilarityService(
-            example_graph(), num_walks=100, seed=9, use_topk_index=False
+            example_graph(), num_walks=100, seed=9
         ) as service:
-            top = service.top_k_for_vertex("v1", 2, method="sampling")
+            top = service.top_k_for_vertex(
+                "v1", 2, candidates=["v2"], method="sampling"
+            )
             stats = service.service_stats()
         assert top.candidates_total is None
-        assert stats["use_topk_index"] is False
+        assert top.candidates_rescored is None
+        assert stats["tenants"]["default"]["topk_index"]["lookups"] == 0
         assert stats["tenants"]["default"]["topk_index"]["usable"] == 0
+        engine = SimRankEngine(example_graph(), num_walks=100, seed=9)
+        assert list(top) == top_k_similar_to(
+            engine, "v1", 2, candidates=["v2"], method="sampling", use_index=False
+        )
 
     def test_indexed_identity_survives_ingest(self):
         """Indexed answers under mutation ingest match a fresh no-index
@@ -1056,8 +1069,6 @@ class TestIndexedTopKThroughService:
 
         # Every observed answer must equal a scratch engine's un-indexed
         # scan at the graph state its version reports.
-        from repro.core.topk import top_k_similar_to
-
         for round_number, (version, ranking) in enumerate(observed):
             frozen = example_graph()
             for log in logs[:round_number]:

@@ -17,6 +17,7 @@ from repro.core.batch_walks import (
 from repro.core.engine import SimRankEngine
 from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.graph.csr import CSRGraph
+from repro.graph.uncertain_graph import example_graph
 from repro.service import (
     PairQuery,
     ShardedWalkSampler,
@@ -306,18 +307,30 @@ class TestSimilarityService:
             assert 0.0 <= service.pair("v2", "v3").score <= 1.0
 
     def test_engine_and_service_bundles_do_not_alias(self, paper_graph):
-        """The engine's stateful-RNG bundles and the sampler's keyed bundles
-        share the store but live under different key namespaces."""
+        """The tenant engine's own calls share the service's keyed sampler
+        and bundle store: the bundles they put in the store are the ones the
+        service would sample, so service answers never move."""
         with SimilarityService(
             paper_graph, iterations=4, num_walks=100, seed=9
         ) as service:
             baseline_score = service.pair("v1", "v2").score
-            # Fallback-path batched call fills "rng"-namespace entries...
+            # A direct engine call fills the tenant store...
             service.engine.similarity_many(
                 [("v1", "v2"), ("v2", "v3")], method="sampling"
             )
             # ...which must not perturb the deterministic service answers.
             assert service.pair("v1", "v2").score == baseline_score
+
+    def test_unseeded_tenant_engine_and_sampler_share_one_seed(self):
+        """With ``seed=None`` a tenant's walks and its engine draw from one
+        seed, so a service answer equals the tenant engine's bit for bit."""
+        with SimilarityService(example_graph(), iterations=4, num_walks=200) as service:
+            tenant = service.tenant()
+            assert tenant.sampler.seed == tenant.engine.seed
+            score = service.pair("v1", "v2").score
+            engine_score = tenant.engine.similarity("v1", "v2", method="sampling").score
+            assert score == engine_score
+            assert tenant.sampler is tenant.engine.sampler
 
     def test_closed_service_rejects_submissions(self, paper_graph):
         service = SimilarityService(paper_graph, num_walks=50, seed=1)
@@ -492,12 +505,18 @@ class TestRunner:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("kernel", '"reference"'), ("executor", '"thread"'), ("num_workers", "2")],
-        ids=["kernel", "executor", "num_workers"],
+        [
+            ("kernel", '"reference"'),
+            ("executor", '"thread"'),
+            ("num_workers", "2"),
+            ("use_topk_index", "false"),
+        ],
+        ids=["kernel", "executor", "num_workers", "use_topk_index"],
     )
     def test_create_graph_kernel_param_rejected(self, field, value):
-        """Removed options (one walk kernel, one serial keyed sampler) are
-        unknown fields: one structured error, and the stream continues."""
+        """Removed options (one walk kernel, one serial keyed sampler, no
+        index opt-out) are unknown fields: one structured error, and the
+        stream continues."""
         errors = self._errors(
             [
                 '{"op": "create_graph", "graph": "g", "edges": [["a", "b", 0.5]], '
@@ -509,6 +528,15 @@ class TestRunner:
         assert f"unknown tenant config field(s) ['{field}']" in errors[0]
         assert "unknown graph 'g'" in errors[1]
         assert errors[2] is None
+
+    def test_removed_no_topk_index_flag_exits_2(self, capsys):
+        """The index opt-out flag is gone: a usage error, never a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            self._run(['{"op": "pair", "u": "v1", "v": "v2"}'], "--no-topk-index")
+        assert exit_info.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "unrecognized arguments: --no-topk-index" in stderr
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize(
         "params, field",

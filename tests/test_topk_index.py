@@ -17,6 +17,7 @@ import pytest
 from repro.core.batch_walks import NO_VERTEX
 from repro.core.engine import SimRankEngine
 from repro.core.executors import TransitionCache, executor_for
+import repro.core.topk as topk_module
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.core.topk_index import (
     BOUND_SLACK,
@@ -262,21 +263,31 @@ class TestPrunedIdentity:
             )
             assert pruned == scan
 
-    def test_chunk_size_never_changes_pair_ranking(self):
-        graph = _random_graph(10)
-        engine = SimRankEngine(graph, num_walks=80, seed=10)
-        vertices = graph.vertices()
-        pairs = [(vertices[i], vertices[i + 1]) for i in range(12)]
-        default = top_k_similar_pairs(engine, 4, candidate_pairs=pairs)
-        for chunk_size in (1, 3, 1000):
-            assert (
-                top_k_similar_pairs(
-                    engine, 4, candidate_pairs=pairs, chunk_size=chunk_size
-                )
-                == default
-            )
-        with pytest.raises(InvalidParameterError):
-            top_k_similar_pairs(engine, 4, candidate_pairs=pairs, chunk_size=0)
+    def test_pair_chunk_size_never_changes_streamed_ranking(self, monkeypatch):
+        """The streamed default pair space ranks identically at any chunk
+        size, with and without per-chunk index pruning, through the service
+        and the engine alike — and the pruning really drops candidates."""
+
+        def graph():
+            return rmat_uncertain(30, 90, rng=np.random.default_rng(5))
+
+        engine = SimRankEngine(graph(), num_walks=80, seed=5)
+        methods = ("sampling", "two_phase", "baseline")
+        scans = {
+            method: top_k_similar_pairs(engine, 5, method=method, use_index=False)
+            for method in methods
+        }
+        with SimilarityService(graph(), num_walks=80, seed=5) as service:
+            for chunk in (1, 3, 7):
+                monkeypatch.setattr(topk_module, "PAIR_CHUNK_SIZE", chunk)
+                for method in methods:
+                    top = service.top_k_pairs(5, method=method)
+                    assert list(top) == scans[method], (chunk, method)
+                    assert top.candidates_total == 30 * 29 // 2
+                    assert top.candidates_rescored < top.candidates_total
+                    assert top_k_similar_pairs(
+                        engine, 5, method=method, use_index=True
+                    ) == scans[method], (chunk, method)
 
 
 def _sink_graph(seed: int = 3):
@@ -372,29 +383,33 @@ class TestSinkRule:
     @pytest.mark.parametrize("method", METHODS)
     def test_vertex_losing_last_out_arc_becomes_sink(self, method):
         sinks, live = _sinks_and_live(_sink_graph())
-        with SimilarityService(
-            _sink_graph(), num_walks=80, seed=3
-        ) as indexed, SimilarityService(
-            _sink_graph(), num_walks=80, seed=3, use_topk_index=False
-        ) as scanned:
+
+        def scan(log, query, k):
+            """The standalone engine scan at the graph state after ``log``."""
+            frozen = _sink_graph()
+            if log is not None:
+                log.apply_to(frozen)
+            engine = SimRankEngine(frozen, num_walks=80, seed=3)
+            return top_k_similar_to(engine, query, k, method=method, use_index=False)
+
+        with SimilarityService(_sink_graph(), num_walks=80, seed=3) as indexed:
             graph = indexed.registry.get(indexed.default_graph).graph
             query = live[0]
             log = MutationLog()
             for target in list(graph.out_arcs(query)):
                 log.remove_edge(query, target)
             before = indexed.top_k_for_vertex(query, 3, method=method)
-            assert before == scanned.top_k_for_vertex(query, 3, method=method)
+            assert before == scan(None, query, 3)
             indexed.mutate(log)
-            scanned.mutate(log)
             after = indexed.top_k_for_vertex(query, 3, method=method)
-            assert after == scanned.top_k_for_vertex(query, 3, method=method)
+            assert after == scan(log, query, 3)
             assert after.epoch > before.epoch
             assert after.candidates_rescored == 3
             assert [score for _, score in after] == [0.0, 0.0, 0.0]
             other = live[-1] if live[-1] != query else live[-2]
-            assert indexed.top_k_for_vertex(
-                other, 4, method=method
-            ) == scanned.top_k_for_vertex(other, 4, method=method)
+            assert indexed.top_k_for_vertex(other, 4, method=method) == scan(
+                log, other, 4
+            )
 
     def test_tiny_probability_arc_is_not_a_sink(self):
         graph = UncertainGraph(vertices=("sink",))

@@ -1,7 +1,7 @@
 """Keyed sweep kernel acceptance pins: fused speedup + bit-identity.
 
 The fused :class:`~repro.core.kernels.NumpyKernel` must beat the
-:class:`~repro.core.kernels.ReferenceKernel` step loop by ~2x
+:class:`~tests.kernel_oracle.ReferenceKernel` step loop by ~2x
 single-threaded on the Fig. 12 sweep graphs while sampling bit-identical
 walk matrices.  The measured ratio lands in ``extra_info`` — exported as
 ``BENCH_kernels.json`` by the CI bench job — and the assertion is a
@@ -16,11 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.kernels import NumpyKernel, ReferenceKernel
+from repro.core.kernels import NumpyKernel
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_uncertain
 
 from bench_config import QUICK, SWEEP_GRAPH_SIZE
+from tests.kernel_oracle import ReferenceKernel
 
 #: Walk length of the paper's default query depth (matches the core suite).
 ITERATIONS = 4

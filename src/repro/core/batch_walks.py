@@ -15,28 +15,36 @@ that walk; every visit then chooses uniformly among the instantiated arcs.
 
 Per-(walk, arc) instantiation memory is implemented without storing any
 per-walk state: each walk carries a 64-bit *world key*, and the existence
-draw of arc ``j`` in walk ``i`` is the counter-based uniform
-``splitmix64(world_key_i ^ mix(j))``.  Recomputing the hash at every visit
-yields the same Bernoulli outcome, which is exactly the "remembered
-instantiation" of the lazy possible world, with O(1) memory and fully
-vectorized evaluation.  The uniform *choice* among instantiated arcs comes
-from a second counter-based stream of ``(world_key, step)``, so every walk is
-a pure function of its world key — the keyed, shared-fingerprint scheme of
-Fogaras & Rácz (WWW 2005) that makes batching, sharding and caching
-answer-neutral.
+draw of the ``j``-th out-arc of vertex ``x`` in walk ``i`` is the
+counter-based uniform ``splitmix64(world_key_i ^ splitmix64((x << 32) |
+j))``.  The arc is keyed *locally* — by its source vertex and its offset in
+that vertex's row, never by its global CSR position — so a degree change in
+one row leaves the draws of every other row alone.  Recomputing the hash at
+every visit yields the same Bernoulli outcome, which is exactly the
+"remembered instantiation" of the lazy possible world, with O(1) memory and
+fully vectorized evaluation.  The uniform *choice* among instantiated arcs
+comes from a second counter-based stream of ``(world_key, step)``, so every
+walk is a pure function of its world key and of the out-rows it leaves — the
+keyed, shared-fingerprint scheme of Fogaras & Rácz (WWW 2005) that makes
+batching, sharding and caching answer-neutral, and that lets a bundle store
+survive a graph mutation: only the walks that left a mutated row change
+(:meth:`ShardedWalkSampler.sample_bundles_mixed` resamples exactly those
+rows of a cached bundle).
 
 :class:`ShardedWalkSampler` is the one producer of walk bundles: the engine
 and every service tenant resolve their walk needs through it (via
 :class:`repro.core.executors.WalkSource`), and the top-k index samples its
-sketches through it.
+sketches through it.  Bundles are stored compactly: int16 while the graph
+has at most 32,767 vertices, int32 beyond (:func:`bundle_dtype`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.graph.csr import CSRGraph
 from repro.utils.errors import InvalidParameterError
@@ -70,9 +78,11 @@ def shard_world_keys(
     anywhere under the same ``(seed, shard_size)`` scheme are bit-identical.
 
     Derivation is memoized (the function is pure, so cached values are the
-    values): constructing a ``SeedSequence`` + ``Generator`` per shard is
-    pure-Python overhead otherwise paid on every batch.  The returned array
-    is shared and read-only — copy before mutating.
+    values) at two sizes: the last 1,024 shards' key arrays, and the last
+    16,384 shards' 32-byte PCG64 seeds — the ``SeedSequence`` hashing that
+    dominates a derivation — from which a key array is redrawn in a few
+    microseconds.  The returned array is shared and read-only — copy before
+    mutating.
     """
     return _shard_world_keys_cached(
         int(seed), int(vertex_index), int(bool(twin)), int(shard_index),
@@ -80,16 +90,35 @@ def shard_world_keys(
     )
 
 
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 the seed words one ``SeedSequence`` generated."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: bytes) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.frombuffer(self.words, dtype=np.uint64)
+
+
+@lru_cache(maxsize=16384)
+def _shard_seed_words(seed: int, vertex_index: int, twin: int, shard_index: int) -> bytes:
+    sequence = np.random.SeedSequence(
+        entropy=seed, spawn_key=(vertex_index, twin, shard_index)
+    )
+    return sequence.generate_state(4, np.uint64).tobytes()
+
+
 @lru_cache(maxsize=1024)
 def _shard_world_keys_cached(
     seed: int, vertex_index: int, twin: int, shard_index: int, shard_length: int
 ) -> np.ndarray:
-    sequence = np.random.SeedSequence(
-        entropy=seed, spawn_key=(vertex_index, twin, shard_index)
-    )
-    keys = np.random.default_rng(sequence).integers(
-        0, 2**64, size=shard_length, dtype=np.uint64
-    )
+    # The raw PCG64 stream seeded as ``PCG64(SeedSequence(...))`` seeds
+    # itself: exactly ``default_rng(sequence).integers(0, 2**64, size,
+    # dtype=np.uint64)`` (a full-range draw is the raw 64-bit output).
+    words = _shard_seed_words(seed, vertex_index, twin, shard_index)
+    keys = np.random.PCG64(_SeedWords(words)).random_raw(shard_length)
     keys.flags.writeable = False
     return keys
 
@@ -121,14 +150,34 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _arc_uniforms(world_keys: np.ndarray, arc_ids: np.ndarray) -> np.ndarray:
+def local_arc_keys(sources: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Existence-stream keys ``(source << 32) | offset`` of out-arcs.
+
+    ``sources`` are the arcs' source vertex indices and ``offsets`` their
+    positions within those vertices' out-rows.  Vertex indices are stable
+    across incremental snapshots (vertices are only appended) and a clean row
+    keeps its arcs in order, so an arc keeps its key across mutations of
+    other rows.
+    """
+    return (sources.astype(np.uint64) << np.uint64(32)) | offsets.astype(np.uint64)
+
+
+def csr_arc_keys(csr: CSRGraph) -> np.ndarray:
+    """:func:`local_arc_keys` of every arc of ``csr``, in CSR order."""
+    sources = csr.arc_sources()
+    offsets = np.arange(csr.num_arcs, dtype=np.int64) - csr.indptr[sources]
+    return local_arc_keys(sources, offsets)
+
+
+def _arc_uniforms(world_keys: np.ndarray, arc_keys: np.ndarray) -> np.ndarray:
     """Deterministic uniforms in ``[0, 1)`` for (walk, arc) pairs.
 
-    ``world_keys`` and ``arc_ids`` broadcast against each other; the result is
-    a pure function of the pair, which is what makes the lazy possible-world
-    instantiation consistent across repeated visits within a walk.
+    ``world_keys`` and ``arc_keys`` (:func:`local_arc_keys`) broadcast
+    against each other; the result is a pure function of the pair, which is
+    what makes the lazy possible-world instantiation consistent across
+    repeated visits within a walk.
     """
-    mixed = _splitmix64(arc_ids.astype(np.uint64)) ^ world_keys
+    mixed = _splitmix64(arc_keys.astype(np.uint64)) ^ world_keys
     return (_splitmix64(mixed) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -150,6 +199,7 @@ def sample_walk_matrix_keyed(
     length: int,
     world_keys: np.ndarray,
     chunk_rows: "int | None" = None,
+    first_steps: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Sample one walk per ``(source, world key)`` pair, fully deterministically.
 
@@ -168,6 +218,13 @@ def sample_walk_matrix_keyed(
     degree-scaled default); it never affects the sampled walks, only the
     evaluation granularity.
 
+    ``first_steps`` (default all 0) resumes walks mid-way: row ``r`` stands
+    on ``sources[r]`` at step ``first_steps[r]``, and its columns from there
+    on are the suffix of any walk under the same world key that reached
+    ``sources[r]`` at that step (its earlier columns are :data:`NO_VERTEX`).
+    Bundle repair resamples a carried walk from its first dirtied vertex
+    this way.
+
     The sweep runs the fused :data:`repro.core.kernels.KERNEL`.
     """
     sources = np.ascontiguousarray(sources, dtype=np.int64)
@@ -178,13 +235,23 @@ def sample_walk_matrix_keyed(
         )
     if length < 0:
         raise InvalidParameterError(f"length must be >= 0, got {length}")
+    if first_steps is not None:
+        first_steps = np.ascontiguousarray(first_steps, dtype=np.int64)
+        if first_steps.shape != sources.shape:
+            raise InvalidParameterError("first_steps must match sources in shape")
+        if first_steps.size and not (
+            0 <= int(first_steps.min()) and int(first_steps.max()) <= length
+        ):
+            raise InvalidParameterError(f"first_steps must lie in [0, {length}]")
     if sources.size and not (
         0 <= int(sources.min()) and int(sources.max()) < csr.num_vertices
     ):
         raise InvalidParameterError("source indices out of range")
     # Called through the instance (not a bound method captured at import) so
     # a class-level wrap of ``NumpyKernel.sample`` sees every sweep.
-    return _kernels.KERNEL.sample(csr, sources, length, world_keys, chunk_rows)
+    return _kernels.KERNEL.sample(
+        csr, sources, length, world_keys, chunk_rows, first_steps
+    )
 
 
 def meeting_probabilities_from_matrices(
@@ -272,6 +339,20 @@ def bundle_key(
 #: A walk-bundle need: (dense vertex index, twin flag, walk count).
 BundleNeed = Tuple[int, bool, int]
 
+#: A cached bundle to repair: the bundle, the row indices to resample, and
+#: per row the step to resample from (the walk before it stays).
+BundleRepair = Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]
+
+
+def bundle_dtype(num_vertices: int) -> np.dtype:
+    """The compact integer dtype of walk bundles over ``num_vertices`` vertices.
+
+    int16 while every vertex index fits (``n <= 32767``), int32 beyond.  The
+    :data:`NO_VERTEX` sentinel and every meeting count are the same in any
+    signed dtype, so the choice never changes an answer.
+    """
+    return np.dtype(np.int16 if num_vertices <= np.iinfo(np.int16).max else np.int32)
+
 
 class ShardedWalkSampler:
     """The keyed walk sampler: every bundle of a batch in one sweep.
@@ -330,14 +411,23 @@ class ShardedWalkSampler:
         )
 
     def sample_bundles_mixed(
-        self, csr: CSRGraph, needs: Sequence[BundleNeed], length: int
+        self,
+        csr: CSRGraph,
+        needs: Sequence[BundleNeed],
+        length: int,
+        repairs: Optional[Mapping[BundleNeed, BundleRepair]] = None,
     ) -> Dict[BundleNeed, np.ndarray]:
         """Walk bundles for endpoints with per-endpoint walk counts.
 
         ``needs`` are ``(vertex_index, twin, num_walks)`` triples (duplicates
-        collapse); all of them share one keyed sweep.  Each bundle is a
-        ``(num_walks, length + 1)`` matrix that owns its rows, so a store
-        retaining it accounts for exactly the bytes it keeps alive.
+        collapse).  ``repairs`` maps further needs to a cached ``(bundle,
+        (rows, first_steps))``: only those rows are resampled, under their
+        own world keys and each from its first step on (the walk reached
+        ``bundle[row, first_step]`` unchanged), into a copy of the bundle.
+        Every fresh need and every repaired row share one keyed sweep.  Each
+        bundle is a ``(num_walks, length + 1)`` matrix of
+        :func:`bundle_dtype` that owns its rows, so a store retaining it
+        accounts for exactly the bytes it keeps alive.
         Returns ``{(vertex_index, twin, num_walks): matrix}``.
         """
         if self._fail_hook is not None:
@@ -351,19 +441,37 @@ class ShardedWalkSampler:
         for need in unique:
             if need[2] < 1:
                 raise InvalidParameterError(f"num_walks must be >= 1, got {need[2]}")
-        if not unique:
+        repairs = repairs or {}
+        if not unique and not repairs:
             return {}
-        sources = np.repeat(
-            np.asarray([need[0] for need in unique], dtype=np.int64),
-            [need[2] for need in unique],
+        sources = [np.full(need[2], need[0], dtype=np.int64) for need in unique]
+        keys = [self.world_keys(*need) for need in unique]
+        first_steps = None
+        if repairs:
+            firsts = [np.zeros(sum(need[2] for need in unique), dtype=np.int64)]
+            for need, (cached, (rows, first)) in repairs.items():
+                sources.append(cached[rows, first])
+                keys.append(self.world_keys(*need)[rows])
+                firsts.append(first)
+            first_steps = np.concatenate(firsts)
+        matrix = sample_walk_matrix_keyed(
+            csr, np.concatenate(sources), length, np.concatenate(keys),
+            first_steps=first_steps,
         )
-        keys = np.concatenate([self.world_keys(*need) for need in unique])
-        matrix = sample_walk_matrix_keyed(csr, sources, length, keys)
+        dtype = bundle_dtype(csr.num_vertices)
         bundles: Dict[BundleNeed, np.ndarray] = {}
         offset = 0
         for need in unique:
-            bundles[need] = matrix[offset : offset + need[2]].copy()
+            bundles[need] = matrix[offset : offset + need[2]].astype(dtype)
             offset += need[2]
+        for need, (cached, (rows, first)) in repairs.items():
+            repaired = cached.astype(np.promote_types(cached.dtype, dtype))
+            resumed = np.arange(length + 1) >= first[:, None]
+            repaired[rows] = np.where(
+                resumed, matrix[offset : offset + rows.size], repaired[rows]
+            )
+            bundles[need] = repaired
+            offset += rows.size
         return bundles
 
 # Imported last: kernels imports this module's splitmix helpers, so the

@@ -81,6 +81,7 @@ import numpy as np
 from repro.core.batch_walks import (
     DEFAULT_SHARD_SIZE,
     BundleNeed,
+    BundleRepair,
     ShardedWalkSampler,
     meeting_probabilities_against_many,
     meeting_probabilities_from_matrices,
@@ -351,13 +352,16 @@ class EngineCaches:
 class WalkSource:
     """Resolves walk-bundle needs, serving a store first and sampling misses.
 
-    A bundle need is ``(vertex_index, twin, num_walks)``.  Misses are
-    sampled in one sweep of ``sampler`` and inserted into ``store`` — the
+    A bundle need is ``(vertex_index, twin, num_walks)``.  ``store`` is the
     :class:`~repro.core.bundle_store.VersionedStoreView` an engine snapshot
-    pins to its ``bundle_store``, or any ``get``/``put`` mapping; ``None``
-    samples every need afresh.  :meth:`resolve` returns direct references
-    for the duration of the batch, so concurrent evictions cannot pull a
-    bundle out from under a query that planned on it.
+    pins to its ``bundle_store``, or a
+    :class:`~repro.core.bundle_store.WalkBundleStore`; ``None`` samples
+    every need afresh.  A store lookup either hits, misses, or hands back a
+    bundle carried over a mutation with the rows that left a dirtied vertex;
+    :meth:`resolve` resamples those rows together with the misses in one
+    sweep of ``sampler`` and puts every new and repaired bundle back.  It
+    returns direct references for the duration of the batch, so concurrent
+    evictions cannot pull a bundle out from under a query that planned on it.
     """
 
     def __init__(
@@ -375,27 +379,30 @@ class WalkSource:
     def resolve(
         self, csr: CSRGraph, length: int, needs: Iterable[BundleNeed]
     ) -> Dict[BundleNeed, np.ndarray]:
-        """Bundles for every need (duplicates collapse; misses sampled)."""
+        """Bundles for every need (duplicates collapse; misses sampled,
+        carried bundles repaired)."""
         store = self.store
         bundles: Dict[BundleNeed, np.ndarray] = {}
         missing: List[BundleNeed] = []
+        repairs: Dict[BundleNeed, BundleRepair] = {}
         seen = set()
         for vertex_index, twin, walks in needs:
             need = (int(vertex_index), bool(twin), int(walks))
             if need in seen:
                 continue
             seen.add(need)
-            cached = None
+            found = None
             if store is not None:
-                cached = store.get(self.store_key(need[0], need[1], length, need[2]))
-            if cached is None:
+                found = store.lookup(self.store_key(need[0], need[1], length, need[2]))
+            if found is None:
                 missing.append(need)
+            elif found[1] is None:
+                bundles[need] = found[0]
             else:
-                bundles[need] = cached
-        if missing:
-            sampled = self.sampler.sample_bundles_mixed(csr, missing, length)
-            for need in missing:
-                bundle = sampled[need]
+                repairs[need] = found
+        if missing or repairs:
+            sampled = self.sampler.sample_bundles_mixed(csr, missing, length, repairs)
+            for need, bundle in sampled.items():
                 if store is not None:
                     store.put(self.store_key(need[0], need[1], length, need[2]), bundle)
                 bundles[need] = bundle

@@ -1,17 +1,15 @@
-"""The keyed walk sweep kernel, plus its reference oracle.
+"""The keyed walk sweep kernel.
 
 Every consumer of the serving stack — the service read pool, SR-TS meeting
 tails, SR-SP filter builds, the top-k index's sketch construction — bottoms
 out in :func:`repro.core.batch_walks.sample_walk_matrix_keyed`, which runs
 the fused :class:`NumpyKernel` (the module-level :data:`KERNEL`).  Its step
 loop is fully deterministic: every walk is a pure function of ``(csr,
-source, world key)`` under the splitmix64 counter scheme, so any
-evaluation strategy that reproduces that scheme bit-for-bit samples the
-same walks.
-
-:class:`ReferenceKernel` is the original step loop, written for clarity
-rather than speed.  No option routes to it; it is the test oracle the
-fused kernel is pinned bit-identical against.
+source, world key)`` under the splitmix64 counter scheme, with each arc's
+existence draw keyed by its source vertex and row offset
+(:func:`~repro.core.batch_walks.local_arc_keys`), so any evaluation strategy
+that reproduces that scheme bit-for-bit samples the same walks.  The test
+suite pins the kernel bit-identical against a plain step-loop oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from repro.core.batch_walks import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_M1,
     _SPLITMIX_M2,
-    _arc_uniforms,
-    _pick_uniforms,
     _splitmix64,
+    csr_arc_keys,
+    local_arc_keys,
 )
 from repro.graph.csr import CSRGraph
 from repro.utils.errors import InvalidParameterError
@@ -43,7 +41,6 @@ __all__ = [
     "NUMPY_CHUNK_MAX_ROWS",
     "NUMPY_CHUNK_MIN_ROWS",
     "NumpyKernel",
-    "ReferenceKernel",
     "resolve_chunk_rows",
 ]
 
@@ -62,7 +59,7 @@ DENSE_MAX_COLS = 8
 DENSE_MAX_WASTE = 1.5
 
 #: Row-chunk bounds and per-chunk budget of the fused numpy kernel.  Its
-#: per-row working set is a fraction of the reference loop's (scratch
+#: per-row working set is a fraction of a plain step loop's (scratch
 #: reuse, fewer temporaries), so sparse graphs want far larger chunks that
 #: amortize the per-step fixed costs over more rows, while dense graphs
 #: still need small chunks to keep the per-arc buffers cache-resident.
@@ -100,93 +97,13 @@ def resolve_kernel(name: None = None) -> "NumpyKernel":
 
 
 def resolve_chunk_rows(csr: CSRGraph, length: int, chunk_rows: "int | None") -> int:
-    """The row-chunk size of one keyed sweep (shared by both kernels)."""
+    """The row-chunk size of one keyed sweep."""
     if chunk_rows is None:
         return _numpy_chunk_rows(csr, length)
     rows = int(chunk_rows)
     if rows < 1:
         raise InvalidParameterError(f"chunk_rows must be >= 1, got {chunk_rows}")
     return rows
-
-
-class ReferenceKernel:
-    """The original chunked step loop — the bit-identity test oracle.
-
-    ``sample`` has the same contract as :meth:`NumpyKernel.sample`.
-    """
-
-    def sample(
-        self,
-        csr: CSRGraph,
-        sources: np.ndarray,
-        length: int,
-        world_keys: np.ndarray,
-        chunk_rows: "int | None" = None,
-    ) -> np.ndarray:
-        rows = resolve_chunk_rows(csr, length, chunk_rows)
-        if sources.size <= rows:
-            return self._sample_chunk(csr, sources, length, world_keys)
-        return np.concatenate(
-            [
-                self._sample_chunk(
-                    csr,
-                    sources[start : start + rows],
-                    length,
-                    world_keys[start : start + rows],
-                )
-                for start in range(0, sources.size, rows)
-            ],
-            axis=0,
-        )
-
-    @staticmethod
-    def _sample_chunk(
-        csr: CSRGraph, sources: np.ndarray, length: int, world_keys: np.ndarray
-    ) -> np.ndarray:
-        """One chunk of the step loop, in the ragged flat arc layout."""
-        count = sources.shape[0]
-        walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
-        walks[:, 0] = sources
-        if count == 0 or length == 0:
-            return walks
-
-        active = np.arange(count)
-        current = sources.astype(np.int64, copy=True)
-        indptr, indices, probs = csr.indptr, csr.indices, csr.probs
-        for step in range(length):
-            if active.size == 0:
-                break
-            vertices = current[active]
-            starts = indptr[vertices]
-            degrees = indptr[vertices + 1] - starts
-            has_out = degrees > 0
-            active, starts, degrees = active[has_out], starts[has_out], degrees[has_out]
-            if active.size == 0:
-                break
-            # Flat ragged layout: one entry per candidate (walk, out-arc)
-            # pair, so the per-step work is the actual arc count, not
-            # walks × max-degree.
-            row_starts = np.concatenate(([0], degrees.cumsum()))
-            flat_row = np.repeat(np.arange(active.size), degrees)
-            arc_ids = starts[flat_row] + np.arange(row_starts[-1]) - row_starts[flat_row]
-            uniforms = _arc_uniforms(world_keys[active][flat_row], arc_ids)
-            exists = (uniforms < probs[arc_ids]).astype(np.int64)
-            instantiated = np.add.reduceat(exists, row_starts[:-1])
-            alive = instantiated > 0
-            # Uniform choice among the instantiated arcs of each walk: pick
-            # the (picks + 1)-th instantiated arc by its within-row count.
-            picks = (_pick_uniforms(world_keys[active], step) * instantiated).astype(
-                np.int64
-            )
-            cumulative = exists.cumsum()
-            row_base = cumulative[row_starts[:-1]] - exists[row_starts[:-1]]
-            within = cumulative - row_base[flat_row]
-            chosen = np.flatnonzero(exists & (within == picks[flat_row] + 1))
-            destinations = indices[arc_ids[chosen]]
-            active = active[alive]
-            walks[active, step + 1] = destinations
-            current[active] = destinations
-        return walks
 
 
 class _Scratch:
@@ -235,34 +152,37 @@ def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 class NumpyKernel:
     """The fused numpy rewrite of the step loop.
 
-    Same chunk structure and identical arithmetic as the reference, with the
-    per-element work cut roughly in half:
+    Same chunk structure and identical arithmetic as a plain per-step loop
+    over the ragged arc layout, with the per-element work cut roughly in
+    half:
 
-    * The first splitmix64 of every arc uniform depends only on the arc id,
-      so ``splitmix64(arange(num_arcs))`` is hoisted out of the loop and
-      gathered per step (when the sweep is large enough to amortize it),
-      as is the per-vertex out-degree array.
+    * The first splitmix64 of every arc uniform depends only on the arc's
+      local key, so ``splitmix64(csr_arc_keys(csr))`` — with the
+      existence thresholds and the out-degree array — is computed once per
+      snapshot (:func:`_sweep_tables`, kept on the immutable CSR) and
+      gathered per step.  Until a sweep large enough to amortize the table
+      comes along, tiny sweeps over a snapshot hash the gathered local keys
+      per step instead.
     * The existence test compares raw hash bits against precomputed
       pre-shifted integer thresholds ``ceil(p * 2^53) << 11`` — exactly
       equivalent to the float compare ``(h >> 11) * 2^-53 < p`` (both
       sides are exact reals, and for thresholds below ``2^53`` the shift
       commutes with the compare), skipping both the float conversion and
       the shift of every candidate arc.
-    * One global ``cumsum`` over the existence bits yields the per-row
-      instantiation counts (differences of its row-end values — no
-      ``reduceat``) *and* selects the picked arc: its increments are 0/1,
-      so the unique instantiated position where it equals ``row_base +
-      pick + 1`` is the ``(pick + 1)``-th instantiated arc of the row.
+    * The ragged layout compresses each step to its instantiated arcs once
+      (one ``flatnonzero``): the row boundaries' insertion points in that
+      list give every row's instantiation count and first instantiated
+      entry, so the ``(pick + 1)``-th instantiated arc is one gather — no
+      ``reduceat`` and no per-arc row-id array (per-arc row values are
+      ``repeat``s of per-row values).
     * Steps whose rows all have degree at most :data:`DENSE_MAX_COLS` and
       pad to at most :data:`DENSE_MAX_WASTE` times their real arc count
       take a padded ``(rows, max_deg)`` gather — plain 2-d vectorized ops,
-      no ``repeat`` ragged bookkeeping; other steps keep the fused ragged
-      layout, with hub rows split out so the light majority can still go
-      dense.
+      no ragged bookkeeping; other steps keep the fused ragged layout.
 
     ``sample`` takes the inputs that
     :func:`~repro.core.batch_walks.sample_walk_matrix_keyed` validated and
-    returns the same walk matrix as :class:`ReferenceKernel`.
+    returns the ``(count, length + 1)`` int64 walk matrix.
     """
 
     def __init__(self) -> None:
@@ -281,30 +201,29 @@ class NumpyKernel:
         length: int,
         world_keys: np.ndarray,
         chunk_rows: "int | None" = None,
+        first_steps: "np.ndarray | None" = None,
     ) -> np.ndarray:
         rows = resolve_chunk_rows(csr, length, chunk_rows)
         count = sources.shape[0]
         walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
-        walks[:, 0] = sources
+        if first_steps is None:
+            walks[:, 0] = sources
+        else:
+            walks[np.arange(count), first_steps] = sources
         if count == 0 or length == 0:
             return walks
         scratch = self._scratch()
-        degree = np.diff(csr.indptr)
-        # Hoist the per-arc splitmix prefix and existence thresholds out of
-        # the step loop when the sweep touches enough arcs to amortize the
-        # two passes over the arc arrays; tiny sweeps over huge graphs skip
-        # the precompute and hash gathered arc ids per step instead.  When
-        # every threshold is below 2^53 (i.e. no certain arcs) the shift
-        # onto the hash's high bits is hoisted into the threshold table too.
-        arc_mix = thr = None
-        thr_shifted = False
+        # The snapshot's hoisted tables, built by the first sweep that
+        # touches enough arcs to amortize the passes over the arc arrays;
+        # tiny sweeps over a huge snapshot hash gathered local keys instead.
+        tables = csr.sweep_tables
         expected_arc_work = count * length * (csr.num_arcs / max(1, csr.num_vertices))
-        if csr.num_arcs and expected_arc_work >= csr.num_arcs:
-            arc_mix = _splitmix64(np.arange(csr.num_arcs, dtype=np.uint64))
-            thr = np.ceil(csr.probs * _2_53).astype(np.uint64)
-            if int(thr.max()) < (1 << 53):
-                thr = thr << _U11
-                thr_shifted = True
+        if tables is None and csr.num_arcs and expected_arc_work >= csr.num_arcs:
+            tables = _sweep_tables(csr)
+        if tables is None:
+            degree, arc_mix, thr, thr_shifted = np.diff(csr.indptr), None, None, False
+        else:
+            degree, arc_mix, thr, thr_shifted = tables
         for start in range(0, count, rows):
             stop = min(start + rows, count)
             _fused_chunk(
@@ -316,14 +235,34 @@ class NumpyKernel:
                 sources[start:stop],
                 length,
                 world_keys[start:stop],
+                None if first_steps is None else first_steps[start:stop],
                 walks[start:stop],
                 scratch,
             )
         return walks
 
 
+def _sweep_tables(csr: CSRGraph) -> tuple:
+    """``(degree, arc_mix, thr, thr_shifted)`` of one snapshot, built once.
+
+    ``arc_mix`` is the first splitmix64 of every arc's local key and ``thr``
+    its existence threshold ``ceil(p * 2^53)``; when every threshold is below
+    2^53 (no certain arcs) the shift onto the hash's high bits is folded into
+    ``thr`` too.  Derived only from the frozen arrays, so the tables are kept
+    on the snapshot and shared by every later sweep over it (a race between
+    two first sweeps builds identical tables twice).
+    """
+    thr = np.ceil(csr.probs * _2_53).astype(np.uint64)
+    thr_shifted = int(thr.max()) < (1 << 53)
+    if thr_shifted:
+        thr <<= _U11
+    tables = (np.diff(csr.indptr), _splitmix64(csr_arc_keys(csr)), thr, thr_shifted)
+    csr.sweep_tables = tables
+    return tables
+
+
 def _numpy_chunk_rows(csr: CSRGraph, length: int) -> int:
-    """Default chunk size of a keyed sweep (both kernels use it).
+    """Default chunk size of a keyed sweep.
 
     The fused kernel's measured sweet spots fall off with the *square* of
     the average degree: on sparse graphs the per-step fixed costs
@@ -346,23 +285,43 @@ def _fused_chunk(
     sources: np.ndarray,
     length: int,
     world_keys: np.ndarray,
+    first_steps: "np.ndarray | None",
     walks: np.ndarray,
     scratch: _Scratch,
 ) -> None:
-    """Run the fused step loop over one chunk, writing into ``walks``."""
+    """Run the fused step loop over one chunk, writing into ``walks``.
+
+    A row with ``first_steps[r] = t`` stands on its source at step ``t`` and
+    joins the live set there, so its pick uniforms are those of steps
+    ``t, t + 1, …`` — exactly the suffix of the walk that reached the source
+    at step ``t``.
+    """
     indptr = csr.indptr
     # Live-walk state, compacted every step: original row ids (for writing
     # into ``walks``), current vertices, world keys, and the hoisted first
     # half of the pick-uniform hash (``splitmix64(key ^ salt)`` is
-    # step-independent; the reference recomputes it every step).
-    rowid = np.arange(sources.shape[0])
-    current = sources.astype(np.int64, copy=True)
-    keys = world_keys
-    pick_base = _splitmix64(world_keys ^ _PICK_SALT)
+    # step-independent; a plain step loop recomputes it every step).
+    pick_all = _splitmix64(world_keys ^ _PICK_SALT)
+    joining: Dict[int, np.ndarray] = {}
+    if first_steps is None:
+        rowid = np.arange(sources.shape[0])
+        current = sources.astype(np.int64, copy=True)
+        keys, pick_base = world_keys, pick_all
+    else:
+        rowid = np.flatnonzero(first_steps == 0)
+        current = sources[rowid].astype(np.int64)
+        keys, pick_base = world_keys[rowid], pick_all[rowid]
+        for first in np.unique(first_steps[first_steps > 0]).tolist():
+            joining[first] = np.flatnonzero(first_steps == first)
+    last_join = max(joining, default=0)
     tmp_rows = np.empty(sources.shape[0], dtype=np.uint64)
     for step in range(length):
-        if rowid.size == 0:
-            break
+        late = joining.get(step)
+        if late is not None:
+            rowid = np.concatenate((rowid, late))
+            current = np.concatenate((current, sources[late]))
+            keys = np.concatenate((keys, world_keys[late]))
+            pick_base = np.concatenate((pick_base, pick_all[late]))
         degrees = degree[current]
         has_out = degrees > 0
         if not has_out.all():
@@ -371,8 +330,10 @@ def _fused_chunk(
             keys = keys[has_out]
             pick_base = pick_base[has_out]
             degrees = degrees[has_out]
-            if rowid.size == 0:
+        if rowid.size == 0:
+            if step >= last_join:
                 break
+            continue
         n = rowid.size
         starts = indptr[current]
         # Per-row pick uniforms: finish the hoisted pick hash for this step.
@@ -389,14 +350,11 @@ def _fused_chunk(
         dense_ok = max_deg <= DENSE_MAX_COLS and max_deg * n <= DENSE_MAX_WASTE * int(
             degrees.sum()
         )
-        if dense_ok:
-            destinations, alive = _dense_rows(
-                csr, arc_mix, thr, thr_shifted, starts, degrees, keys, pick_u, scratch
-            )
-        else:
-            destinations, alive = _ragged_rows(
-                csr, arc_mix, thr, thr_shifted, starts, degrees, keys, pick_u, scratch
-            )
+        step_rows = _dense_rows if dense_ok else _ragged_rows
+        destinations, alive = step_rows(
+            csr, arc_mix, thr, thr_shifted, current, starts, degrees, keys, pick_u,
+            scratch,
+        )
 
         rowid = rowid[alive]
         keys = keys[alive]
@@ -410,6 +368,7 @@ def _dense_rows(
     arc_mix: "np.ndarray | None",
     thr: "np.ndarray | None",
     thr_shifted: bool,
+    current: np.ndarray,
     starts: np.ndarray,
     degrees: np.ndarray,
     keys: np.ndarray,
@@ -436,7 +395,7 @@ def _dense_rows(
     if arc_mix is not None:
         hash_ = arc_mix[arc]
     else:
-        hash_ = arc.astype(np.uint64)
+        hash_ = local_arc_keys(current[:, None], scratch.iota_i64(cols)[None, :])
         _splitmix64_inplace(hash_, tmp)
     np.bitwise_xor(hash_, keys[:, None], out=hash_)
     _splitmix64_inplace(hash_, tmp)
@@ -458,7 +417,7 @@ def _dense_rows(
     np.cumsum(exists, axis=1, dtype=np.int64, out=running)
     # The chosen arc is the first column whose running instantiation count
     # reaches ``pick + 1`` *and* is itself instantiated — exactly the
-    # reference's "(pick + 1)-th instantiated arc".
+    # step loop's "(pick + 1)-th instantiated arc".
     hit = scratch.get2d("dense_hit", n, cols, np.bool_)
     np.equal(running, (picks + 1)[:, None], out=hit)
     np.logical_and(hit, exists, out=hit)
@@ -472,6 +431,7 @@ def _ragged_rows(
     arc_mix: "np.ndarray | None",
     thr: "np.ndarray | None",
     thr_shifted: bool,
+    current: np.ndarray,
     starts: np.ndarray,
     degrees: np.ndarray,
     keys: np.ndarray,
@@ -486,17 +446,19 @@ def _ragged_rows(
     row_starts[0] = 0
     np.cumsum(degrees, out=row_starts[1:])
     total = int(row_starts[n])
-    flat_row = np.repeat(scratch.iota_i64(n), degrees)
+    # Per-arc row values are ``repeat``s of per-row values (rows are
+    # contiguous in the flat layout), never gathers through a row-id array.
     # Arc ids stay int64 throughout — see the dense path.
-    arc = (starts - row_starts[:n])[flat_row]
+    arc = np.repeat(starts - row_starts[:n], degrees)
     arc += scratch.iota_i64(total)
     tmp = scratch.get("ragged_tmp", total, np.uint64)
     if arc_mix is not None:
         hash_ = arc_mix[arc]
     else:
-        hash_ = arc.astype(np.uint64)
+        offsets = scratch.iota_i64(total) - np.repeat(row_starts[:n], degrees)
+        hash_ = local_arc_keys(np.repeat(current, degrees), offsets)
         _splitmix64_inplace(hash_, tmp)
-    np.bitwise_xor(hash_, keys[flat_row], out=hash_)
+    np.bitwise_xor(hash_, np.repeat(keys, degrees), out=hash_)
     _splitmix64_inplace(hash_, tmp)
     exists = scratch.get("ragged_exists", total, np.bool_)
     if thr is not None:
@@ -510,16 +472,16 @@ def _ragged_rows(
         np.less(uniforms, csr.probs[arc], out=exists)
     # Compress to the instantiated arcs once, then do all the per-row
     # accounting at row granularity: ``set_pos`` lists the instantiated
-    # flat positions in row order, ``bincount`` of their row ids gives the
-    # instantiation counts (no ``reduceat``, no global ``cumsum`` over the
-    # arcs), and the ``(pick + 1)``-th instantiated arc of row ``r`` is
-    # simply ``set_pos[row_base[r] + pick]``.
+    # flat positions in row order, so the row boundaries' insertion points
+    # in it give each row's first instantiated entry (``row_base``) and the
+    # instantiation counts (their differences), and the ``(pick + 1)``-th
+    # instantiated arc of row ``r`` is simply ``set_pos[row_base[r] + pick]``.
     set_pos = np.flatnonzero(exists)
-    instantiated = np.bincount(flat_row[set_pos], minlength=n)
+    bounds = np.searchsorted(set_pos, row_starts)
+    row_base = bounds[:n]
+    instantiated = bounds[1:] - row_base
     alive = instantiated > 0
     picks = (pick_u * instantiated).astype(np.int64)
-    row_base = np.cumsum(instantiated)
-    row_base -= instantiated
     chosen = set_pos[(row_base + picks)[alive]]
     destinations = csr.indices[arc[chosen]]
     return destinations, alive

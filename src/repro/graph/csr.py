@@ -63,6 +63,7 @@ class CSRGraph:
         "version",
         "_vertices",
         "_index",
+        "sweep_tables",
     )
 
     def __init__(
@@ -86,6 +87,9 @@ class CSRGraph:
             raise InvalidParameterError("indices and probs must have the same length")
         self.graph_id = graph_id
         self.version = version
+        #: Per-arc tables of the walk kernel, derived from the frozen arrays
+        #: and set by the first large sweep (:mod:`repro.core.kernels`).
+        self.sweep_tables = None
         self._index: Dict[Vertex, int] = {
             vertex: position for position, vertex in enumerate(self._vertices)
         }

@@ -23,8 +23,8 @@ into a servable system:
   importable from :mod:`repro.service.sharding`) — the keyed walk sampler
   every tenant resolves its bundle misses through, one sweep per batch.
 * :class:`WalkBundleStore` (from :mod:`repro.core.bundle_store`) — the
-  LRU-bounded walk-bundle store with hit/miss/eviction stats and
-  graph-version invalidation, one per tenant.
+  LRU-bounded walk-bundle store with hit/miss/eviction/repair stats, one
+  per tenant, carried forward across mutation-log ingest.
 * :mod:`repro.service.qos` — :class:`AdmissionController` /
   :class:`TokenBucket` / :class:`OverloadedError`, per-tenant admission
   quotas (``max_qps`` / ``max_inflight`` / ``max_queue_depth``) enforced

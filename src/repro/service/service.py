@@ -12,8 +12,9 @@ and sampled in one keyed sweep by the
 :class:`~repro.core.batch_walks.ShardedWalkSampler` on a miss), exact
 single-source transition distributions for the Baseline / SR-TS / SR-SP
 prefix stages, and SR-SP propagation tables per endpoint side.  Bundles
-persist across batches until LRU eviction or graph mutation, so a sustained
-workload converges to sampling each hot endpoint once.
+persist across batches until LRU eviction, and across mutation-log ingest
+too (repaired by resampling only the walks a mutation touched), so a
+sustained workload converges to sampling each hot endpoint once.
 
 One service process hosts many named graphs — *tenants* — through a
 :class:`~repro.service.tenancy.GraphRegistry`: every query carries an

@@ -20,12 +20,18 @@ provides that layer:
   create / get / drop lifecycle and per-tenant mutation ingest.
 
 Applying a :class:`MutationLog` to a tenant bumps the graph's mutation
-version, invalidates **only that tenant's** walk bundles, and refreshes the
-CSR snapshot *incrementally*
+version and refreshes the CSR snapshot *incrementally*
 (:meth:`~repro.graph.csr.CSRGraph.from_uncertain_incremental`): untouched
 adjacency rows are copied from the previous snapshot, so the per-mutation
 cost scales with the mutation batch rather than the graph.  A ``verify``
-mode cross-checks every incremental rebuild against a full re-freeze.
+mode cross-checks every incremental rebuild against a full re-freeze.  The
+tenant's walk bundles are *carried forward*, not dropped: a walk is a pure
+function of its world key and the out-rows it leaves, so the publish hands
+the log's dirty rows to the tenant's bundle store, and a cached bundle is
+repaired on its first lookup at the new version by resampling only the
+walks that left a dirty vertex.  No other tenant is touched.  Paths that do
+not know the dirty rows — a graph mutated directly, the full-rebuild
+fallback — clear the tenant's store instead.
 
 Thread safety: each tenant is a single-writer / multi-reader structure.
 Mutation ingest (:meth:`GraphTenant.apply`) runs under the tenant's write
@@ -446,19 +452,24 @@ class GraphTenant:
                 self._publish_epoch()
             return self.epochs.pin()
 
-    def _publish_epoch(self) -> bool:
+    def _publish_epoch(
+        self, dirty: Optional[List[int]] = None, since: Hashable = None
+    ) -> bool:
         """Publish the engine's snapshot as the next epoch (caller holds the
         write lock).
 
-        Re-binds the bundle store to the graph's current version first, so
-        the return value says whether the store actually dropped entries
-        (i.e. the version really changed); the engine snapshot then pins a
-        versioned view of the re-bound store.  No re-freeze happens here:
-        both CSR rebuild paths install their snapshot in the graph's
-        per-version cache, so the engine's refreshed caches pin that very
-        object.
+        Re-binds the bundle store to the graph's current version first:
+        with ``dirty`` (dense indices of the rows that changed since the
+        snapshot token ``since``) the store carries its bundles forward,
+        otherwise it drops them.  The return value says whether the store
+        actually dropped entries; the engine snapshot then pins a versioned
+        view of the re-bound store.  No re-freeze happens here: both CSR
+        rebuild paths install their snapshot in the graph's per-version
+        cache, so the engine's refreshed caches pin that very object.
         """
-        invalidated = self.store.sync_version((id(self.graph), self.graph.version))
+        invalidated = self.store.sync_version(
+            (id(self.graph), self.graph.version), dirty=dirty, since=since
+        )
         self.epochs.publish(self.engine.snapshot())
         return invalidated
 
@@ -474,8 +485,9 @@ class GraphTenant:
         In-flight queries keep answering on whatever epoch they pinned — the
         old CSR arrays and the versioned store view are immutable — so
         ingest never blocks the read path.  The tenant's bundle store is
-        re-bound to the new version (its walks were sampled on the old
-        graph); no other tenant is touched.
+        re-bound to the new version with the log's dirty rows, so its
+        bundles are carried forward and repaired lazily; no other tenant is
+        touched.
         """
         apply_start = time.perf_counter()
         with self.write_lock:
@@ -483,24 +495,26 @@ class GraphTenant:
             try:
                 previous = CSRGraph.from_uncertain(self.graph)
                 dirty = log.apply_to(self.graph)
-                incremental = True
                 start = time.perf_counter()
                 try:
                     # Installed in the graph's per-version snapshot cache,
                     # where the engine's refreshed caches pick it up.
-                    CSRGraph.from_uncertain_incremental(
+                    csr = CSRGraph.from_uncertain_incremental(
                         self.graph, previous, dirty, verify=verify
                     )
+                    dirty_rows = [csr.index_of(vertex) for vertex in dirty]
                 except InvalidParameterError:
                     # A caller mutated the graph behind our back in a way the
                     # incremental path cannot express; fall back to the full
-                    # rebuild rather than failing the ingest.
-                    incremental = False
+                    # rebuild (and a cleared store) rather than failing the
+                    # ingest.
+                    dirty_rows = None
                     start = time.perf_counter()
                     CSRGraph.from_uncertain(self.graph)
                 snapshot_ms = 1000.0 * (time.perf_counter() - start)
                 entries = len(self.store)
-                invalidated = entries if self._publish_epoch() else 0
+                dropped = self._publish_epoch(dirty_rows, previous.snapshot_token)
+                invalidated = entries if dropped else 0
                 self.mutations_applied += 1
                 self.ops_applied += len(log)
                 apply_ms = 1000.0 * (time.perf_counter() - apply_start)
@@ -516,7 +530,7 @@ class GraphTenant:
                     num_vertices=self.graph.num_vertices,
                     num_arcs=self.graph.num_arcs,
                     invalidated_bundles=invalidated,
-                    incremental=incremental,
+                    incremental=dirty_rows is not None,
                     snapshot_ms=snapshot_ms,
                 )
             finally:

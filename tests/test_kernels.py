@@ -3,7 +3,7 @@
 The production sweep (:func:`~repro.core.batch_walks.sample_walk_matrix_keyed`,
 which runs the fused :class:`~repro.core.kernels.NumpyKernel`) must sample
 walk matrices bit-identical to the original unchunked step loop of the
-:class:`~repro.core.kernels.ReferenceKernel` oracle — the property the whole
+:class:`~tests.kernel_oracle.ReferenceKernel` oracle — the property the whole
 deterministic serving stack (sharding, epochs, bundle stores) rests on.  The
 suites here sweep chunk sizes and graph shapes chosen to drive the fused
 kernel through both its dense fast path and its ragged path, and
@@ -32,7 +32,6 @@ from repro.core.kernels import (
     NUMPY_CHUNK_MAX_ROWS,
     NUMPY_CHUNK_MIN_ROWS,
     NumpyKernel,
-    ReferenceKernel,
     default_kernel_name,
     resolve_chunk_rows,
     resolve_kernel,
@@ -45,6 +44,7 @@ from repro.service.tenancy import TenantConfig
 from repro.utils.errors import InvalidParameterError
 
 from tests.conftest import small_random_uncertain_graph
+from tests.kernel_oracle import ReferenceKernel
 
 #: Monte-Carlo tolerance for two independent estimates at the sizes below.
 MC_TOLERANCE = 0.05
@@ -226,6 +226,79 @@ class TestBitIdentity:
             assert a == pytest.approx(b, abs=MC_TOLERANCE)
 
 
+def _unfrozen_copy(csr: CSRGraph) -> CSRGraph:
+    """The same arrays in a snapshot no sweep has built tables for yet."""
+    return CSRGraph(csr.indptr, csr.indices, csr.probs, csr.vertices)
+
+
+class TestLocalArcKeys:
+    """Existence draws are keyed by (source vertex, row offset)."""
+
+    @pytest.mark.parametrize("name", ["sparse", "dense", "star"])
+    def test_per_step_hash_matches_the_hoisted_table(self, name):
+        # A sweep too small to amortize the per-snapshot table hashes the
+        # gathered local keys per step; both must sample the oracle's walks.
+        csr = _unfrozen_copy(GRAPHS[name])
+        sources, keys = keyed_request(csr, 4, seed=3)
+        small = sample_walk_matrix_keyed(csr, sources, 2, keys)
+        assert csr.sweep_tables is None  # the per-step path ran
+        assert np.array_equal(small, reference_walks(csr, sources, 2, keys))
+        sources, keys = keyed_request(csr, 600, seed=4)
+        large = sample_walk_matrix_keyed(csr, sources, 6, keys)
+        assert csr.sweep_tables is not None  # built once, kept on the snapshot
+        assert np.array_equal(large, reference_walks(csr, sources, 6, keys))
+
+    def test_walk_depends_only_on_the_rows_it_leaves(self):
+        graph = rmat_uncertain(120, 300, rng=np.random.default_rng(5))
+        before = CSRGraph.from_uncertain(graph)
+        sources, keys = keyed_request(before, 3000, seed=8)
+        old = sample_walk_matrix_keyed(before, sources, 6, keys)
+        # Change the out-row of a busy early vertex: its degree shift moves
+        # the global CSR position of every later arc.
+        dirty = before.vertex_at(int(np.argmax(np.bincount(old[:, :-1][old[:, :-1] >= 0]))))
+        graph.remove_arc(dirty, next(iter(graph.out_arcs(dirty))))
+        added = [v for v in before.vertices if not graph.has_arc(dirty, v)][:2]
+        for target in added:
+            graph.add_arc(dirty, target, 0.9)
+        assert len(graph.out_arcs(dirty)) == before.out_degrees()[before.index_of(dirty)] + 1
+        after = CSRGraph.from_uncertain_incremental(graph, before, {dirty}, verify=True)
+        new = sample_walk_matrix_keyed(after, sources, 6, keys)
+        left_dirty = (old[:, :-1] == before.index_of(dirty)).any(axis=1)
+        assert 0 < left_dirty.sum() < left_dirty.size
+        assert np.array_equal(new[~left_dirty], old[~left_dirty])
+
+
+class TestResumedWalks:
+    """``first_steps`` resumes a walk mid-way under its own pick stream."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_resumed_rows_are_the_suffix_of_the_full_walk(self, name):
+        csr = GRAPHS[name]
+        sources, keys = keyed_request(csr, 500, seed=21)
+        full = sample_walk_matrix_keyed(csr, sources, 7, keys)
+        rng = np.random.default_rng(22)
+        first = rng.integers(0, 8, size=sources.size)
+        # Resume each row from a step its walk reached (step 0 otherwise).
+        first[full[np.arange(sources.size), first] < 0] = 0
+        resumed_from = full[np.arange(sources.size), first]
+        expected = np.where(np.arange(8) >= first[:, None], full, batch_walks.NO_VERTEX)
+        for rows in (None, 7):
+            got = sample_walk_matrix_keyed(
+                csr, resumed_from, 7, keys, chunk_rows=rows, first_steps=first
+            )
+            assert np.array_equal(got, expected), (name, rows)
+        oracle = ReferenceKernel().sample(csr, resumed_from, 7, keys, 64, first)
+        assert np.array_equal(oracle, expected), name
+
+    def test_invalid_first_steps_rejected(self):
+        csr = GRAPHS["paper"]
+        sources, keys = keyed_request(csr, 4, seed=0)
+        with pytest.raises(InvalidParameterError, match="first_steps"):
+            sample_walk_matrix_keyed(csr, sources, 3, keys, first_steps=np.full(4, 4))
+        with pytest.raises(InvalidParameterError, match="first_steps"):
+            sample_walk_matrix_keyed(csr, sources, 3, keys, first_steps=np.zeros(3))
+
+
 def _sample_bundle(sampler, csr, need, length):
     """One need's bundle, sampled in a sweep of its own."""
     return sampler.sample_bundles_mixed(csr, [need], length)[need]
@@ -270,6 +343,17 @@ class TestMemoizationAndDeprecation:
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 0
+
+    @pytest.mark.parametrize("shard_length", [1, 16, 256, 300])
+    def test_shard_world_keys_follow_the_seed_sequence_rule(self, shard_length):
+        # The key-derivation rule of the sampling scheme: the full-range
+        # uint64 draws of a Generator over SeedSequence(seed, (v, twin, s)).
+        sequence = np.random.SeedSequence(entropy=11, spawn_key=(5, 1, 3))
+        expected = np.random.default_rng(sequence).integers(
+            0, 2**64, size=shard_length, dtype=np.uint64
+        )
+        got = shard_world_keys(11, 5, True, 3, shard_length)
+        assert got.dtype == np.uint64 and np.array_equal(got, expected)
 
     def test_endpoint_world_keys_unaffected_by_memoization(self):
         keys = endpoint_world_keys(7, 3, False, 40, 16)

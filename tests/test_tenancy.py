@@ -206,9 +206,11 @@ class TestMultiTenantService:
             assert shared[name, "after"].score == after.score
             assert shared[name, "topk"] == topk
 
-    def test_mutation_invalidates_only_that_tenant(self):
-        """Satellite: after mutate, the mutated tenant's bundles and CSR
-        snapshot are dropped while every other tenant's caches survive."""
+    def test_mutation_repairs_only_that_tenant(self):
+        """Satellite: after mutate, the mutated tenant's CSR snapshot is
+        replaced and its bundles are carried forward — repaired, not
+        resampled, and answering exactly like a fresh service on the mutated
+        graph — while every other tenant's caches are untouched."""
         registry = GraphRegistry()
         registry.create("a", _tenant_graph(0), num_walks=100, seed=1)
         registry.create("b", _tenant_graph(1), num_walks=100, seed=2)
@@ -218,22 +220,34 @@ class TestMultiTenantService:
             tenant_a, tenant_b = registry.get("a"), registry.get("b")
             csr_a = CSRGraph.from_uncertain(tenant_a.graph)
             csr_b = CSRGraph.from_uncertain(tenant_b.graph)
-            entries_b = len(tenant_b.store)
-            assert len(tenant_a.store) > 0 and entries_b > 0
+            entries_a, entries_b = len(tenant_a.store), len(tenant_b.store)
+            assert entries_a > 0 and entries_b > 0
 
-            service.mutate(MutationLog().add_edge("v5", "v2", 0.6), graph="a")
+            report = service.mutate(MutationLog().add_edge("v5", "v2", 0.6), graph="a")
 
-            assert len(tenant_a.store) == 0                      # invalidated
-            assert tenant_a.store.stats.invalidations == 1
+            assert report.invalidated_bundles == 0
+            assert len(tenant_a.store) == entries_a              # carried
+            assert tenant_a.store.stats.invalidations == 0
             assert CSRGraph.from_uncertain(tenant_a.graph) is not csr_a
             assert len(tenant_b.store) == entries_b              # untouched
             assert tenant_b.store.stats.invalidations == 0
             assert CSRGraph.from_uncertain(tenant_b.graph) is csr_b
 
+            misses_a = tenant_a.store.stats.misses
+            carried = service.pair("v1", "v2", graph="a")
+            assert tenant_a.store.stats.misses == misses_a       # no bundle resampled whole
+            assert tenant_a.store.stats.repairs > 0
             misses_b = tenant_b.store.stats.misses
             service.pair("v1", "v2", graph="b")
             assert tenant_b.store.stats.misses == misses_b       # still warm
+            mutated = tenant_a.graph
         registry.close()
+
+        fresh = UncertainGraph(vertices=mutated.vertices(), arcs=mutated.arcs())
+        with SimilarityService(fresh, num_walks=100, seed=1) as service:
+            answer = service.pair("v1", "v2")
+        assert answer.meeting_probabilities == carried.meeting_probabilities
+        assert answer.score == carried.score
 
     def test_post_mutation_matches_freshly_built_graph(self):
         """Satellite: answers after mutate equal a service built directly on

@@ -35,7 +35,7 @@ from repro.utils.timer import time_call
 MIN_SPEEDUP = 4.0 if QUICK else 10.0
 
 #: The estimator under test — the paper's headline method, and the one whose
-#: scan cost (per-candidate bundle scoring) the sketches bound tightest.
+#: scan cost (per-candidate bundle scoring) the walk lanes bound tightest.
 METHOD = "sampling"
 
 

@@ -33,8 +33,8 @@ rows of a cached bundle).
 
 :class:`ShardedWalkSampler` is the one producer of walk bundles: the engine
 and every service tenant resolve their walk needs through it (via
-:class:`repro.core.executors.WalkSource`), and the top-k index samples its
-sketches through it.  Bundles are stored compactly: int16 while the graph
+:class:`repro.core.executors.WalkSource`), the top-k index's walk lanes
+included.  Bundles are stored compactly: int16 while the graph
 has at most 32,767 vertices, int32 beyond (:func:`bundle_dtype`).
 """
 

@@ -1,7 +1,7 @@
 """The keyed walk sweep kernel.
 
 Every consumer of the serving stack — the service read pool, SR-TS meeting
-tails, SR-SP filter builds, the top-k index's sketch construction — bottoms
+tails, SR-SP filter builds, the top-k index's lane build — bottoms
 out in :func:`repro.core.batch_walks.sample_walk_matrix_keyed`, which runs
 the fused :class:`NumpyKernel` (the module-level :data:`KERNEL`).  Its step
 loop is fully deterministic: every walk is a pure function of ``(csr,

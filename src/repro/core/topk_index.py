@@ -47,16 +47,18 @@ step ``k`` (``(1-c)·c^k`` for ``k < n``, ``c^n`` for ``k = n``; note
   ``m(1) = Σ_w P1(u, w)·P1(v, w)`` can be computed exactly and vectorized
   against a whole candidate column, replacing the loose ``s(u)·s(v)``
   factor for the heavy ``k = 1`` term.
-* **Sketch bound** (sampled estimators).  The sampled estimator counts,
+* **Lane bound** (sampled estimators).  The sampled estimator counts,
   per step, walk slots where both endpoint bundles are alive on the same
-  vertex.  The index stores one 16-bit lane per (walk, step): ``0`` when
-  the walk is dead, else ``1 + splitmix64(vertex) mod 65535``.  Equal
-  vertices hash equally, so the SWAR matched-lane count over the packed
-  uint64 words is ``>=`` the exact matched count — an upper bound on the
-  estimator itself, computed from the *same* keyed bundles the estimator
-  will use.  The 1/65535 collision rate keeps the bound's noise floor
-  (``Σ_k w_k · alive²/65535``) far below realistic k-th best scores, which
-  is what makes the prune ratio high enough to beat the scan.
+  vertex.  The index keeps every vertex's bundle as *walk lanes*: its
+  step-major columns ``lanes[u, k - 1, i]`` (the vertex walk ``i`` of ``u``
+  stands on at step ``k``, :data:`~repro.core.batch_walks.NO_VERTEX` once
+  it is dead).  The build resolves every vertex through the snapshot's
+  walk source like a query batch, so the bundles it samples land in the
+  bundle store for the rescore to find, and a rebuild after a mutation
+  repairs carried bundles instead of sampling them again.  The matched-lane
+  count ``Σ_i (q_i == c_i) & (q_i != NO_VERTEX)`` is therefore exactly the
+  estimator's hit count, computed from the *same* keyed bundles, and the
+  lane bound is the sampled score itself plus :data:`BOUND_SLACK`.
 * **Speedup tail**.  SR-SP's tail uses filter-vector propagation, not the
   walk bundles, so only the trivial per-step bound ``m̂(k) <= 1`` applies:
   the tail is bounded by ``Σ_{k=l+1}^{n} w_k = c^{l+1}``.  This makes the
@@ -77,39 +79,31 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch_walks import NO_VERTEX, _splitmix64
+from repro.core.batch_walks import NO_VERTEX, bundle_dtype
 from repro.obs import NULL_SCOPE
-from repro.utils.bitvector import popcount_words
 from repro.utils.errors import InvalidParameterError
 
 Vertex = Hashable
 
-#: Default byte budget for one snapshot's index artifacts (sketches dominate).
+#: Default byte budget for one snapshot's index artifacts (lanes dominate).
 DEFAULT_INDEX_BUDGET_BYTES = 128 * 1024 * 1024
 
-#: Vertices sketched per sampling call while building (bounds peak memory and
-#: keeps the walk-bundle LRU stores untouched — the builder samples directly).
-SKETCH_CHUNK_VERTICES = 256
+#: Vertices resolved per walk-source call while building the lanes: bounds
+#: the transient stack of raw bundles to one chunk.
+LANE_CHUNK_VERTICES = 256
+
+#: Float budget of one block of the one-step table's leave-one-out DP.
+ONE_STEP_BLOCK_FLOATS = 1 << 18
 
 #: Additive slack on float bound components; protects strict-inequality
 #: pruning against summation-order rounding, costing only near-tie rescores.
 BOUND_SLACK = 1e-9
 
-_LOW15 = np.uint64(0x7FFF7FFF7FFF7FFF)
-_HIGH = np.uint64(0x8000800080008000)
-_LANES_PER_WORD = 4  # uint16 lanes packed per uint64 word
+#: Stands in for a dead query slot: neither a vertex index nor NO_VERTEX,
+#: so it matches no candidate lane.
+_DEAD_QUERY = NO_VERTEX - 1
 
-_SKETCHED_METHODS = ("sampling", "two_phase")
-
-def _zero_lane_flags(words: np.ndarray) -> np.ndarray:
-    """High bit of every 16-bit lane that is exactly zero (exact SWAR).
-
-    ``(w & 0x7FFF) + 0x7FFF`` sets a lane's high bit iff its low fifteen
-    bits are non-zero and never carries across lanes; OR-ing ``w`` itself
-    folds in the original high bit, so the complement's high bit survives
-    only for lanes equal to zero.
-    """
-    return ~(((words & _LOW15) + _LOW15) | words | _LOW15)
+_LANED_METHODS = ("sampling", "two_phase")
 
 
 def step_weights(decay: float, iterations: int) -> np.ndarray:
@@ -157,111 +151,115 @@ def sink_mask(csr) -> np.ndarray:
     return positive[csr.indptr[1:]] == positive[csr.indptr[:-1]]
 
 
-def one_step_arc_probabilities(csr, view, alpha_cache) -> np.ndarray:
+def one_step_arc_probabilities(
+    csr, block_floats: int = ONE_STEP_BLOCK_FLOATS
+) -> np.ndarray:
     """Exact one-step transition probability of every arc, in CSR arc order.
 
-    ``P1(u, w) = α(u, {w}, 1)`` — the same value the exact walk extension
-    assigns, so bounds built from it dominate the exact ``m(1)`` term.
+    ``P1(u, w) = α(u, {w}, 1) = p_w · Σ_x r_w(x) / (x + 1)``, where ``r_w``
+    is the Poisson-binomial distribution of how many of ``u``'s *other*
+    out-arcs exist (Eq. 11 with ``O = {w}``, ``c = 1``) — the value the
+    exact walk extension assigns, so bounds built from it dominate the
+    exact ``m(1)`` term.  Rows of equal out-degree ``d`` share one
+    vectorized leave-one-out DP: each arc runs the ``d``-step DP of its row
+    with its own probability zeroed (an arc that never exists leaves the
+    distribution as it is), over blocks of at most ``block_floats`` floats,
+    so a hub row may span several blocks.  Reads ``csr.probs`` alone; the α
+    cache of the exact algorithms is left to them.
     """
-    values = np.zeros(csr.num_arcs, dtype=float)
-    indptr = csr.indptr
-    indices = csr.indices
-    for position in range(csr.num_vertices):
-        start, stop = int(indptr[position]), int(indptr[position + 1])
-        if start == stop:
-            continue
-        source = csr.vertex_at(position)
-        for arc in range(start, stop):
-            target = csr.vertex_at(int(indices[arc]))
-            values[arc] = alpha_cache.value(source, frozenset((target,)), 1)
+    probs = np.asarray(csr.probs, dtype=float)
+    indptr = np.asarray(csr.indptr, dtype=np.int64)
+    degrees = np.diff(indptr)
+    values = np.zeros(len(probs), dtype=float)
+    for degree in np.unique(degrees[degrees > 0]).tolist():
+        row_starts = indptr[:-1][degrees == degree]
+        offsets = np.arange(degree)
+        # One item per arc of the group: its row's start and its offset.
+        item_starts = np.repeat(row_starts, degree)
+        item_offsets = np.tile(offsets, len(row_starts))
+        inverse = 1.0 / (offsets + 1.0)  # inv(x + 1) for x = 0 … d - 1
+        per_block = max(1, block_floats // degree)
+        for block in range(0, len(item_starts), per_block):
+            starts = item_starts[block : block + per_block]
+            left_out = item_offsets[block : block + per_block]
+            others = probs[starts[:, None] + offsets]
+            others[np.arange(len(starts)), left_out] = 0.0
+            # r(x) over the d - 1 other arcs; the zeroed arc keeps the
+            # count below d, so d columns hold the whole distribution.
+            distribution = np.zeros((len(starts), degree), dtype=float)
+            distribution[:, 0] = 1.0
+            for column in range(degree):
+                p = others[:, column : column + 1]
+                distribution[:, 1:] = (
+                    distribution[:, :-1] * p + distribution[:, 1:] * (1.0 - p)
+                )
+                distribution[:, :1] *= 1.0 - p
+            arcs = starts + left_out
+            values[arcs] = probs[arcs] * (distribution @ inverse)
     return values
 
 
-class VertexSketches:
-    """Packed per-vertex walk fingerprints for one ``(num_walks, length)``.
+class WalkLanes:
+    """Every vertex's walk bundle for one ``(num_walks, length)``, step-major.
 
-    ``words[u, k - 1]`` holds one 16-bit lane per walk of endpoint ``u`` at
-    step ``k``: 0 for a dead walk, else a non-zero hash of the occupied
-    vertex, packed 4 lanes per uint64 word (zero-padded past ``num_walks``).
+    ``lanes[u, k - 1, i]`` is the vertex walk ``i`` of endpoint ``u`` stands
+    on at step ``k`` (:data:`NO_VERTEX` once dead) — the columns of the
+    bundle the estimator reads, in the bundles' own dtype.
     """
 
-    __slots__ = ("words", "num_walks", "length")
+    __slots__ = ("lanes", "num_walks", "length")
 
-    def __init__(self, words: np.ndarray, num_walks: int, length: int):
-        self.words = words
+    def __init__(self, lanes: np.ndarray, num_walks: int, length: int):
+        self.lanes = lanes
         self.num_walks = num_walks
         self.length = length
 
     @property
     def nbytes(self) -> int:
-        return int(self.words.nbytes)
+        return int(self.lanes.nbytes)
 
     def matched_counts(self, query_index: int, candidate_indices: np.ndarray) -> np.ndarray:
-        """``counts[i, k-1] >=`` exact step-k matched walks of (query, cand i)."""
-        query = self.words[query_index]
-        return self._counts(query[np.newaxis, :, :], self.words[candidate_indices])
+        """``counts[i, k-1]``: step-k matched walks of (query, candidate i)."""
+        query = self.lanes[query_index]
+        return self._counts(query[np.newaxis], self.lanes[candidate_indices])
 
     def matched_counts_pairs(
         self, u_indices: np.ndarray, v_indices: np.ndarray
     ) -> np.ndarray:
         """Per-pair matched-walk counts; rows align with the pair arrays."""
-        return self._counts(self.words[u_indices], self.words[v_indices])
+        return self._counts(self.lanes[u_indices], self.lanes[v_indices])
 
     @staticmethod
     def _counts(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        xor = left ^ right
-        both_equal = _zero_lane_flags(xor)
-        left_alive = ~_zero_lane_flags(left) & _HIGH
-        matched = both_equal & left_alive
-        return popcount_words(matched).sum(axis=2, dtype=np.int64)
+        """``Σ_i (left_i == right_i) & (left_i != NO_VERTEX)`` per step."""
+        probe = np.where(left == NO_VERTEX, _DEAD_QUERY, left)
+        return np.count_nonzero(probe == right, axis=2)
 
 
-def sketch_walk_matrices(matrices: np.ndarray, num_walks: int) -> np.ndarray:
-    """Encode stacked walk matrices ``(B, num_walks, length + 1)`` to words.
-
-    Column 0 (the source vertex) carries no step weight and is dropped.
-    Dead slots (:data:`NO_VERTEX`) encode to lane 0; alive slots to
-    ``1 + splitmix64(vertex) mod 65535`` so equal vertices always collide
-    and the matched count can only overcount.
-    """
-    steps = matrices[:, :, 1:]
-    hashed = _splitmix64(steps.astype(np.int64).view(np.uint64))
-    encoded = np.where(
-        steps == NO_VERTEX, 0, hashed % np.uint64(65535) + np.uint64(1)
-    )
-    encoded = encoded.astype(np.uint16)
-    padded_walks = (
-        (num_walks + _LANES_PER_WORD - 1) // _LANES_PER_WORD
-    ) * _LANES_PER_WORD
-    bundle_count, _, length = encoded.shape
-    padded = np.zeros((bundle_count, length, padded_walks), dtype=np.uint16)
-    padded[:, :, :num_walks] = encoded.transpose(0, 2, 1)
-    return padded.view(np.uint64)
-
-
-def build_sketches(
+def build_lanes(
     csr,
     walk_source,
     num_walks: int,
     length: int,
-    chunk_vertices: int = SKETCH_CHUNK_VERTICES,
-) -> VertexSketches:
-    """Sketch every vertex of the snapshot from its keyed walk bundles.
+    chunk_vertices: int = LANE_CHUNK_VERTICES,
+) -> WalkLanes:
+    """Every vertex's walk lanes, resolved through the walk source.
 
-    Bundles are sampled directly (bypassing the bundle LRU store) in vertex
-    chunks so building the index neither evicts hot query bundles nor holds
-    more than one chunk of raw walks in memory.
+    Each vertex chunk resolves like a query batch: store hits are read,
+    carried bundles repaired, misses sampled and put back — so the rescore
+    that follows finds the bundles in the store.
     """
     vertex_count = csr.num_vertices
-    padded_words = (num_walks + _LANES_PER_WORD - 1) // _LANES_PER_WORD
-    words = np.zeros((vertex_count, length, padded_words), dtype=np.uint64)
+    lanes = np.empty(
+        (vertex_count, length, num_walks), dtype=bundle_dtype(vertex_count)
+    )
     for start in range(0, vertex_count, chunk_vertices):
         stop = min(start + chunk_vertices, vertex_count)
         needs = [(position, False, num_walks) for position in range(start, stop)]
-        bundles = walk_source.sampler.sample_bundles_mixed(csr, needs, length)
-        stacked = np.stack([bundles[need] for need in needs])
-        words[start:stop] = sketch_walk_matrices(stacked, num_walks)
-    return VertexSketches(words, num_walks, length)
+        bundles = walk_source.resolve(csr, length, needs)
+        for position, need in enumerate(needs, start):
+            lanes[position] = bundles[need][:, 1:].T
+    return WalkLanes(lanes, num_walks, length)
 
 
 class TopKIndexStore:
@@ -362,7 +360,7 @@ class TopKIndex:
     """Per-snapshot bound oracle for one ``(method, num_walks, prefix)``.
 
     A thin combiner over shared artifacts (sink mask, survival masses,
-    one-step arc probabilities, walk sketches); construction is cheap, the
+    one-step arc probabilities, walk lanes); construction is cheap, the
     artifacts are cached in the snapshot's :class:`TopKIndexStore`.
     """
 
@@ -375,7 +373,7 @@ class TopKIndex:
         exact_prefix: int,
         survival: np.ndarray,
         sinks: np.ndarray,
-        sketches: Optional[VertexSketches] = None,
+        lanes: Optional[WalkLanes] = None,
         alpha_probs: Optional[np.ndarray] = None,
         build_ms: float = 0.0,
         cache_hit: bool = True,
@@ -387,7 +385,7 @@ class TopKIndex:
         self.exact_prefix = exact_prefix
         self.survival = survival
         self.sinks = sinks
-        self.sketches = sketches
+        self.lanes = lanes
         self.alpha_probs = alpha_probs
         self.build_ms = build_ms
         self.cache_hit = cache_hit
@@ -401,24 +399,20 @@ class TopKIndex:
             exact_last = min(exact_prefix, iterations)
         self._exact_one_weight = weights[0] if exact_last >= 1 else 0.0
         self._exact_rest_weight = float(weights[1:exact_last].sum())
-        if method in _SKETCHED_METHODS:
-            self._sketch_slice = slice(exact_last, iterations)
-            self._sketch_weights = weights[self._sketch_slice]
+        if method in _LANED_METHODS:
+            self._lane_slice = slice(exact_last, iterations)
+            self._lane_weights = weights[self._lane_slice]
             self._tail_constant = 0.0
-            if self._sketch_weights.size and sketches is None:
+            if self._lane_weights.size and lanes is None:
                 raise InvalidParameterError(
-                    f"method {method!r} needs walk sketches for steps past {exact_last}"
+                    f"method {method!r} needs walk lanes for steps past {exact_last}"
                 )
         else:
-            self._sketch_slice = slice(0, 0)
-            self._sketch_weights = weights[0:0]
+            self._lane_slice = slice(0, 0)
+            self._lane_weights = weights[0:0]
             self._tail_constant = (
                 float(decay ** (exact_last + 1)) if exact_last < iterations else 0.0
             )
-
-    @property
-    def num_walks(self) -> Optional[int]:
-        return self.sketches.num_walks if self.sketches is not None else None
 
     def certified_zero(self, u_indices, v_indices: np.ndarray) -> np.ndarray:
         """Pairs whose score is exactly ``0.0``: distinct, one end a sink.
@@ -445,7 +439,7 @@ class TopKIndex:
         """Upper bounds for ``(query, candidate)`` pairs, candidate-aligned.
 
         Self pairs get ``+inf`` — their estimator uses twin bundles the
-        sketch does not cover, so they are always rescored exactly.
+        lanes do not cover, so they are always rescored exactly.
         """
         candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
         bounds = np.full(len(candidate_indices), self._tail_constant, dtype=float)
@@ -459,11 +453,11 @@ class TopKIndex:
             else:
                 bounds += self._exact_one_weight * survival_product
         bounds += self._exact_rest_weight * survival_product
-        if self.sketches is not None and self._sketch_weights.size:
-            counts = self.sketches.matched_counts(query_index, candidate_indices)
+        if self.lanes is not None and self._lane_weights.size:
+            counts = self.lanes.matched_counts(query_index, candidate_indices)
             bounds += (
-                counts[:, self._sketch_slice] @ self._sketch_weights
-            ) / self.sketches.num_walks
+                counts[:, self._lane_slice] @ self._lane_weights
+            ) / self.lanes.num_walks
         bounds += BOUND_SLACK
         bounds[candidate_indices == query_index] = np.inf
         return bounds
@@ -484,17 +478,17 @@ class TopKIndex:
             self._tail_constant
             + (self._exact_one_weight + self._exact_rest_weight) * survival_product
         )
-        if self.sketches is not None and self._sketch_weights.size:
-            sketch_part = np.empty(len(u_indices), dtype=float)
+        if self.lanes is not None and self._lane_weights.size:
+            lane_part = np.empty(len(u_indices), dtype=float)
             for start in range(0, len(u_indices), chunk_size):
                 stop = min(start + chunk_size, len(u_indices))
-                counts = self.sketches.matched_counts_pairs(
+                counts = self.lanes.matched_counts_pairs(
                     u_indices[start:stop], v_indices[start:stop]
                 )
-                sketch_part[start:stop] = (
-                    counts[:, self._sketch_slice] @ self._sketch_weights
+                lane_part[start:stop] = (
+                    counts[:, self._lane_slice] @ self._lane_weights
                 )
-            bounds = bounds + sketch_part / self.sketches.num_walks
+            bounds = bounds + lane_part / self.lanes.num_walks
         bounds = bounds + BOUND_SLACK
         bounds[u_indices == v_indices] = np.inf
         return bounds
@@ -509,8 +503,8 @@ def snapshot_index(
     """The lazily built index of a pinned snapshot, or ``None`` if unusable.
 
     ``None`` means "fall back to the scan": the snapshot's caches carry no
-    index store, a required artifact exceeds the byte budget, or a sketched
-    method has no walk source to sketch from.
+    index store, a required artifact exceeds the byte budget, or a laned
+    method has no walk source to resolve its lanes through.
     """
     store: Optional[TopKIndexStore] = getattr(snapshot.caches, "topk_indexes", None)
     if store is None:
@@ -533,31 +527,30 @@ def snapshot_index(
     if sinks is None:
         return None
 
-    sketches = None
-    needs_sketch = method == "sampling" or (
+    lanes = None
+    needs_lanes = method == "sampling" or (
         method == "two_phase" and min(prefix, iterations) < iterations
     )
-    if needs_sketch:
+    if needs_lanes:
         if snapshot.walks is None:
             return None
         walks = num_walks if num_walks is not None else snapshot.num_walks
-        sketches, elapsed = store.get_or_build(
-            ("sketch", walks, iterations),
-            lambda: build_sketches(csr, snapshot.walks, walks, iterations),
+        lanes, elapsed = store.get_or_build(
+            ("lanes", walks, iterations),
+            lambda: build_lanes(csr, snapshot.walks, walks, iterations),
             lambda artifact: artifact.nbytes,
         )
         build_ms += elapsed
-        if sketches is None:
+        if lanes is None:
             return None
 
     alpha_probs = None
     if method in ("baseline", "two_phase", "speedup") and (
         method == "baseline" or min(prefix, iterations) >= 1
     ):
-        caches = snapshot.caches
         alpha_probs, elapsed = store.get_or_build(
             ("alpha",),
-            lambda: one_step_arc_probabilities(csr, caches.view, caches.alpha_cache),
+            lambda: one_step_arc_probabilities(csr),
             lambda artifact: artifact.nbytes,
         )
         build_ms += elapsed
@@ -572,7 +565,7 @@ def snapshot_index(
         exact_prefix=prefix,
         survival=survival,
         sinks=sinks,
-        sketches=sketches,
+        lanes=lanes,
         alpha_probs=alpha_probs,
         build_ms=build_ms,
         cache_hit=build_ms == 0.0,

@@ -1240,8 +1240,8 @@ class SimilarityService:
     def _index_covers(plan: "_QueryPlan", snapshot: EngineSnapshot) -> bool:
         """Whether this plan touches enough of the graph to justify the index.
 
-        A cold index build samples and sketches the walk bundle of *every*
-        vertex, while the scan samples only the endpoints a query names —
+        A cold index build resolves the walk bundle of *every* vertex into
+        its lanes, while the scan samples only the endpoints a query names —
         so a query over a thin explicit candidate slice is cheaper to scan
         even though the build would be amortized across the epoch.  Plans
         whose endpoints cover at least half the graph (the default top-k

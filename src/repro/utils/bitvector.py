@@ -26,7 +26,7 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     """Element-wise set-bit counts of an unsigned integer array.
 
     The array form of :func:`popcount`, used wherever bits are packed into
-    uint64 words (SR-SP counting tables, top-k sketch lanes).
+    uint64 words (the SR-SP counting tables).
     """
     return np.bitwise_count(words)
 

@@ -8,7 +8,9 @@ random mutation logs (adds, removes, re-weights, new vertices) and checks
 after every apply that each cached bundle — twin bundles and two walk counts
 included — is bit-identical to a fresh sample on that version's CSR, and
 that a reader pinned to the previous epoch across the apply still matches a
-fresh sample at its own version.  The stress test repeats the check through
+fresh sample at its own version; a second one checks that the top-k index's
+walk lanes, rebuilt each epoch from the carried store, equal a fresh
+service's.  The stress test repeats the check through
 a ``read_workers=4`` service under concurrent ingest (the CI stress step
 runs this file at that setting).
 """
@@ -28,6 +30,7 @@ from repro.core.batch_walks import (
 )
 from repro.core.bundle_store import VersionedStoreView, WalkBundleStore, stale_rows
 from repro.core.engine import SimRankEngine
+from repro.core.topk_index import snapshot_index
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph
@@ -209,6 +212,37 @@ class TestDifferentialRepair:
         assert np.array_equal(repaired[rows], expected)
         untouched = np.setdiff1d(np.arange(24), rows)
         assert np.array_equal(repaired[untouched], bundle[untouched])
+
+
+class TestLaneRebuild:
+    def test_epoch_lanes_equal_a_fresh_service_at_each_version(self):
+        """The top-k index's walk lanes, rebuilt per epoch from carried and
+        repaired bundles, equal the lanes a fresh service builds on a copy
+        of the graph at that version."""
+        rng = np.random.default_rng(99)
+        graph = _graph(4)
+        config = TenantConfig(
+            num_walks=24, iterations=LENGTH, seed=SEED, shard_size=SHARD,
+            store_budget_bytes=None,
+        )
+        tenant = GraphTenant("t", graph, config)
+        fresh_labels: list = []
+        for _ in range(10):
+            with tenant.pin_epoch() as lease:
+                lanes = snapshot_index(lease.snapshot, "sampling").lanes.lanes
+            with SimilarityService(
+                graph.copy(), num_walks=24, iterations=LENGTH, seed=SEED,
+                shard_size=SHARD,
+            ) as service:
+                with service.registry.get(service.default_graph).pin_epoch() as lease:
+                    expected = snapshot_index(lease.snapshot, "sampling").lanes.lanes
+            assert lanes.dtype == expected.dtype
+            assert np.array_equal(lanes, expected)
+            tenant.apply(_random_log(rng, graph, fresh_labels))
+        stats = tenant.store.stats
+        assert stats.invalidations == 0
+        assert stats.repairs > 0  # later epochs built from repaired bundles
+        assert fresh_labels  # the logs did add vertices
 
 
 def _graph_states(graph: UncertainGraph, logs: list) -> dict:

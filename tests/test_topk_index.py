@@ -11,27 +11,32 @@ rescored, (4) the store honours its byte budget and the cache layers behave
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.batch_walks import NO_VERTEX
+from repro.core import kernels
+from repro.core.batch_walks import NO_VERTEX, meeting_probabilities_from_matrices
 from repro.core.engine import SimRankEngine
-from repro.core.executors import TransitionCache, executor_for
+from repro.core.executors import EngineCaches, TransitionCache, executor_for
 import repro.core.topk as topk_module
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.core.topk_index import (
     BOUND_SLACK,
+    ONE_STEP_BLOCK_FLOATS,
     TopKIndexStore,
-    VertexSketches,
+    WalkLanes,
+    one_step_arc_probabilities,
     pruned_top_k_pairs,
     pruned_top_k_vertex,
     sink_mask,
-    sketch_walk_matrices,
     snapshot_index,
     step_weights,
     survival_masses,
 )
-from repro.graph.csr import CSRGraph
+from repro.core.walks import alpha
+from repro.graph.csr import CSRGraph, CSRGraphView
 from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.service import MutationLog, SimilarityService
@@ -90,63 +95,143 @@ class TestSurvivalMasses:
         assert (survival <= 1.0).all()
 
 
-class TestSketches:
-    def _raw_matrices(self, seed: int, bundles=5, walks=20, length=4):
-        rng = np.random.default_rng(seed)
-        matrices = rng.integers(0, 6, size=(bundles, walks, length + 1), dtype=np.int64)
-        dead = rng.random(matrices.shape) < 0.3
-        matrices[dead] = NO_VERTEX
-        # A walk that dies stays dead: enforce suffix deadness like a sampler.
-        for b in range(bundles):
-            for w in range(walks):
-                died = False
-                for step in range(length + 1):
-                    if matrices[b, w, step] == NO_VERTEX:
-                        died = True
-                    if died:
-                        matrices[b, w, step] = NO_VERTEX
-        return matrices
+class TestLanes:
+    """Exact lanes: per step, the matched-lane count IS the estimator's hit
+    count over the same bundles (int16 bundles and int32 past the bound)."""
 
-    def test_counts_dominate_exact_matches(self):
-        """The SWAR matched count can only overcount true vertex matches."""
-        matrices = self._raw_matrices(11)
-        walks = matrices.shape[1]
-        words = sketch_walk_matrices(matrices, walks)
-        sketches = VertexSketches(words, walks, matrices.shape[2] - 1)
-        for u in range(matrices.shape[0]):
-            for v in range(matrices.shape[0]):
-                counts = sketches.matched_counts(u, np.asarray([v]))[0]
-                for step in range(1, matrices.shape[2]):
-                    left = matrices[u, :, step]
-                    right = matrices[v, :, step]
-                    alive = (left != NO_VERTEX) & (right != NO_VERTEX)
-                    exact = int((alive & (left == right)).sum())
-                    alive_left = int((left != NO_VERTEX).sum())
-                    assert exact <= counts[step - 1] <= alive_left
+    def _bundles(self, seed: int, dtype, bundles=5, walks=20, length=4):
+        rng = np.random.default_rng(seed)
+        # Vertex ids near the dtype's top exercise the full index range.
+        top = int(np.iinfo(dtype).max)
+        vertices = np.asarray([0, 1, 2, top - 2, top - 1, top])
+        matrices = vertices[rng.integers(0, 6, size=(bundles, walks, length + 1))]
+        dead_from = rng.integers(1, length + 2, size=(bundles, walks))
+        # A walk that dies stays dead, as the sampler leaves it.
+        matrices[np.arange(length + 1) >= dead_from[:, :, None]] = NO_VERTEX
+        return matrices.astype(dtype)
+
+    @staticmethod
+    def _lanes(matrices: np.ndarray) -> WalkLanes:
+        _, walks, columns = matrices.shape
+        return WalkLanes(
+            np.ascontiguousarray(matrices[:, :, 1:].transpose(0, 2, 1)),
+            walks,
+            columns - 1,
+        )
+
+    @pytest.mark.parametrize("dtype", (np.int16, np.int32))
+    def test_counts_equal_meeting_hits(self, dtype):
+        matrices = self._bundles(11, dtype)
+        bundles, walks, columns = matrices.shape
+        lanes = self._lanes(matrices)
+        for u in range(bundles):
+            counts = lanes.matched_counts(u, np.arange(bundles))
+            for v in range(bundles):
+                hits = meeting_probabilities_from_matrices(
+                    matrices[u], matrices[v], columns - 1, False
+                )[1:]
+                assert counts[v].tolist() == [round(h * walks) for h in hits]
+                assert (counts[v] / walks).tolist() == hits
 
     def test_identical_bundles_match_everywhere_alive(self):
-        matrices = self._raw_matrices(4, bundles=1)
+        matrices = self._bundles(4, np.int16, bundles=1)
         matrices = np.concatenate([matrices, matrices])
-        walks = matrices.shape[1]
-        sketches = VertexSketches(
-            sketch_walk_matrices(matrices, walks), walks, matrices.shape[2] - 1
-        )
-        counts = sketches.matched_counts(0, np.asarray([1]))[0]
+        counts = self._lanes(matrices).matched_counts(0, np.asarray([1]))[0]
         for step in range(1, matrices.shape[2]):
             assert counts[step - 1] == (matrices[0, :, step] != NO_VERTEX).sum()
 
-    def test_pair_counts_agree_with_vertex_counts(self):
-        matrices = self._raw_matrices(9)
-        walks = matrices.shape[1]
-        sketches = VertexSketches(
-            sketch_walk_matrices(matrices, walks), walks, matrices.shape[2] - 1
-        )
-        u = np.asarray([0, 1, 2])
-        v = np.asarray([3, 4, 0])
-        pairwise = sketches.matched_counts_pairs(u, v)
+    @pytest.mark.parametrize("dtype", (np.int16, np.int32))
+    def test_pair_counts_equal_meeting_hits(self, dtype):
+        matrices = self._bundles(9, dtype)
+        walks, columns = matrices.shape[1:]
+        lanes = self._lanes(matrices)
+        u = np.asarray([0, 1, 2, 3])
+        v = np.asarray([3, 4, 0, 3])
+        pairwise = lanes.matched_counts_pairs(u, v)
         for row, (left, right) in enumerate(zip(u, v)):
-            single = sketches.matched_counts(int(left), np.asarray([int(right)]))[0]
+            single = lanes.matched_counts(int(left), np.asarray([int(right)]))[0]
             assert (pairwise[row] == single).all()
+            hits = meeting_probabilities_from_matrices(
+                matrices[left], matrices[right], columns - 1, False
+            )[1:]
+            assert (pairwise[row] / walks).tolist() == hits
+
+
+def _zoo(seed: int):
+    """A seeded one-step zoo: p = 1 arcs, self-loops, sinks, a hub row of
+    degree 40 and — zeroed on the frozen CSR, since a graph refuses them —
+    p = 0 arcs (one row of nothing but p = 0 arcs is a sink too)."""
+    rng = np.random.default_rng(seed)
+
+    def draw() -> float:
+        return 1.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0))
+
+    names = [f"z{i}" for i in range(30)]
+    graph = UncertainGraph(vertices=("sink-a", "sink-b"))
+    for u in names:
+        for v in rng.choice(names, size=int(rng.integers(1, 7)), replace=False):
+            graph.add_arc(u, str(v), draw())
+    for u in names[:6]:
+        graph.add_arc(u, u, draw())
+    for v in names + ["sink-a", "sink-b", "hub"] + [f"leaf{i}" for i in range(7)]:
+        graph.add_arc("hub", v, draw())
+    frozen = CSRGraph.from_uncertain(graph)
+    probs = frozen.probs.copy()
+    probs[rng.random(len(probs)) < 0.15] = 0.0
+    row = frozen.index_of("z29")
+    probs[frozen.indptr[row] : frozen.indptr[row + 1]] = 0.0
+    zeroed = CSRGraph(frozen.indptr, frozen.indices, probs, frozen.vertices)
+    assert np.diff(zeroed.indptr).max() == 40
+    return graph, zeroed
+
+
+class TestOneStepTable:
+    """The vectorized leave-one-out DP equals Eq. 11's α(u, {w}, 1)."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("block_floats", (ONE_STEP_BLOCK_FLOATS, 64))
+    def test_matches_alpha_on_the_zoo(self, seed, block_floats):
+        _, frozen = _zoo(seed)
+        # At 64 floats the degree-40 hub row spans 40 blocks of one arc.
+        table = one_step_arc_probabilities(frozen, block_floats=block_floats)
+        view = CSRGraphView(frozen)
+        expected = np.zeros(frozen.num_arcs)
+        for position in range(frozen.num_vertices):
+            source = frozen.vertex_at(position)
+            for arc in range(frozen.indptr[position], frozen.indptr[position + 1]):
+                target = frozen.vertex_at(int(frozen.indices[arc]))
+                expected[arc] = alpha(view, source, {target}, 1)
+        assert (np.abs(table - expected) <= 1e-12 * np.abs(expected)).all()
+        assert (table[frozen.probs == 0.0] == 0.0).all()
+
+    def test_leaves_the_alpha_cache_alone(self):
+        graph, _ = _zoo(4)
+        engine = SimRankEngine(graph, num_walks=60, seed=4)
+        assert snapshot_index(engine.snapshot(), "two_phase") is not None
+        assert len(engine.caches.alpha_cache) == 0
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_two_phase_bounds_dominate_scores_on_the_zoo(self, seed):
+        graph, frozen = _zoo(seed)
+        engine = SimRankEngine(graph, num_walks=80, seed=seed)
+        snapshot = engine.snapshot()
+        for csr in (snapshot.csr, frozen):
+            pinned = dataclasses.replace(
+                snapshot,
+                csr=csr,
+                caches=EngineCaches(graph, ("zoo", id(csr)), seed, csr=csr),
+            )
+            index = snapshot_index(pinned, "two_phase")
+            executor = executor_for("two_phase")(pinned)
+            candidates = np.arange(csr.num_vertices)
+            for query in ("hub", "z0", "z29", "sink-a"):
+                query_index = csr.index_of(query)
+                bounds = index.bounds_for_vertex(query_index, candidates)
+                results = executor.run_batch(
+                    [(query, csr.vertex_at(int(v))) for v in candidates], {}
+                )
+                scores = np.asarray([result.score for result in results])
+                assert (scores <= bounds).all(), query
 
 
 class TestBoundValidity:
@@ -513,6 +598,53 @@ class TestIndexStore:
         after = engine.caches.topk_indexes
         assert after is not before  # snapshot-scoped: replaced wholesale
         assert len(after) == 0
+
+
+class TestLanesFillTheStore:
+    """The lane build resolves through the tenant's bundle store, so the
+    rescore that follows reads what the build sampled."""
+
+    def test_second_indexed_query_samples_no_walks(self, monkeypatch):
+        graph = _random_graph(21, num_vertices=60, num_edges=200)
+        vertices = graph.vertices()
+        with SimilarityService(graph, iterations=4, num_walks=64, seed=21) as service:
+            first = service.top_k_for_vertex(vertices[0], 5)
+            assert first.candidates_rescored is not None  # the index served it
+            # The build sampled every vertex once; the rescore only hit.
+            assert service.store.stats.misses == len(vertices)
+            misses = service.store.stats.misses
+            sampled = []
+            sample = kernels.KERNEL.sample
+
+            def counting(*args, **kwargs):
+                walks = sample(*args, **kwargs)
+                sampled.append(len(walks))
+                return walks
+
+            monkeypatch.setattr(kernels.KERNEL, "sample", counting)
+            second = service.top_k_for_vertex(vertices[1], 5)
+            assert second.candidates_rescored is not None
+            assert service.store.stats.misses == misses
+            assert sampled == []
+
+    @pytest.mark.parametrize("method", ("sampling", "two_phase"))
+    def test_budget_below_all_bundles_evicts_and_matches_scan(self, method):
+        graph = _random_graph(22, num_vertices=60, num_edges=200)
+        vertices = graph.vertices()
+        walks, iterations = 64, 4
+        bundle_bytes = walks * (iterations + 1) * np.dtype(np.int16).itemsize
+        budget = 20 * bundle_bytes  # a third of the 60 vertex bundles
+        engine = SimRankEngine(graph, iterations=iterations, num_walks=walks, seed=22)
+        with SimilarityService(
+            graph, iterations=iterations, num_walks=walks, seed=22,
+            store_budget_bytes=budget,
+        ) as service:
+            for query in vertices[:4]:
+                top = service.top_k_for_vertex(query, 5, method=method)
+                assert top.candidates_rescored is not None
+                assert list(top) == top_k_similar_to(engine, query, 5, method=method)
+            assert service.store.stats.evictions > 0
+            assert service.store.current_bytes <= budget
 
 
 class TestTransitionCache:

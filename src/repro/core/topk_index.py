@@ -151,9 +151,7 @@ def sink_mask(csr) -> np.ndarray:
     return positive[csr.indptr[1:]] == positive[csr.indptr[:-1]]
 
 
-def one_step_arc_probabilities(
-    csr, block_floats: int = ONE_STEP_BLOCK_FLOATS
-) -> np.ndarray:
+def one_step_arc_probabilities(csr, alpha_cache) -> np.ndarray:
     """Exact one-step transition probability of every arc, in CSR arc order.
 
     ``P1(u, w) = α(u, {w}, 1) = p_w · Σ_x r_w(x) / (x + 1)``, where ``r_w``
@@ -161,11 +159,11 @@ def one_step_arc_probabilities(
     out-arcs exist (Eq. 11 with ``O = {w}``, ``c = 1``) — the value the
     exact walk extension assigns, so bounds built from it dominate the
     exact ``m(1)`` term.  Rows of equal out-degree ``d`` share one
-    vectorized leave-one-out DP: each arc runs the ``d``-step DP of its row
-    with its own probability zeroed (an arc that never exists leaves the
-    distribution as it is), over blocks of at most ``block_floats`` floats,
-    so a hub row may span several blocks.  Reads ``csr.probs`` alone; the α
-    cache of the exact algorithms is left to them.
+    vectorized leave-one-out DP (each arc zeroes its own probability, an
+    exact identity step) in blocks of at most :data:`ONE_STEP_BLOCK_FLOATS`
+    floats.  It runs in :func:`~repro.core.walks.alpha`'s operation order,
+    so every value equals ``alpha``'s bit for bit and fills ``alpha_cache``
+    for the two-phase exact prefix.
     """
     probs = np.asarray(csr.probs, dtype=float)
     indptr = np.asarray(csr.indptr, dtype=np.int64)
@@ -178,7 +176,7 @@ def one_step_arc_probabilities(
         item_starts = np.repeat(row_starts, degree)
         item_offsets = np.tile(offsets, len(row_starts))
         inverse = 1.0 / (offsets + 1.0)  # inv(x + 1) for x = 0 … d - 1
-        per_block = max(1, block_floats // degree)
+        per_block = max(1, ONE_STEP_BLOCK_FLOATS // degree)
         for block in range(0, len(item_starts), per_block):
             starts = item_starts[block : block + per_block]
             left_out = item_offsets[block : block + per_block]
@@ -194,8 +192,14 @@ def one_step_arc_probabilities(
                     distribution[:, :-1] * p + distribution[:, 1:] * (1.0 - p)
                 )
                 distribution[:, :1] *= 1.0 - p
+            expectation = np.zeros(len(starts), dtype=float)
+            for extra in range(degree):  # alpha's order; a dot would reorder
+                expectation += distribution[:, extra] * inverse[extra]
             arcs = starts + left_out
-            values[arcs] = probs[arcs] * (distribution @ inverse)
+            values[arcs] = probs[arcs] * expectation
+    names = csr.vertices
+    table = zip(csr.arc_sources().tolist(), csr.indices.tolist(), values.tolist())
+    alpha_cache.fill(((names[u], frozenset((names[w],)), 1), p) for u, w, p in table)
     return values
 
 
@@ -207,12 +211,11 @@ class WalkLanes:
     bundle the estimator reads, in the bundles' own dtype.
     """
 
-    __slots__ = ("lanes", "num_walks", "length")
+    __slots__ = ("lanes", "num_walks")
 
-    def __init__(self, lanes: np.ndarray, num_walks: int, length: int):
+    def __init__(self, lanes: np.ndarray, num_walks: int):
         self.lanes = lanes
         self.num_walks = num_walks
-        self.length = length
 
     @property
     def nbytes(self) -> int:
@@ -236,13 +239,7 @@ class WalkLanes:
         return np.count_nonzero(probe == right, axis=2)
 
 
-def build_lanes(
-    csr,
-    walk_source,
-    num_walks: int,
-    length: int,
-    chunk_vertices: int = LANE_CHUNK_VERTICES,
-) -> WalkLanes:
+def build_lanes(csr, walk_source, num_walks: int, length: int) -> WalkLanes:
     """Every vertex's walk lanes, resolved through the walk source.
 
     Each vertex chunk resolves like a query batch: store hits are read,
@@ -253,13 +250,13 @@ def build_lanes(
     lanes = np.empty(
         (vertex_count, length, num_walks), dtype=bundle_dtype(vertex_count)
     )
-    for start in range(0, vertex_count, chunk_vertices):
-        stop = min(start + chunk_vertices, vertex_count)
+    for start in range(0, vertex_count, LANE_CHUNK_VERTICES):
+        stop = min(start + LANE_CHUNK_VERTICES, vertex_count)
         needs = [(position, False, num_walks) for position in range(start, stop)]
         bundles = walk_source.resolve(csr, length, needs)
         for position, need in enumerate(needs, start):
             lanes[position] = bundles[need][:, 1:].T
-    return WalkLanes(lanes, num_walks, length)
+    return WalkLanes(lanes, num_walks)
 
 
 class TopKIndexStore:
@@ -535,6 +532,11 @@ def snapshot_index(
         if snapshot.walks is None:
             return None
         walks = num_walks if num_walks is not None else snapshot.num_walks
+        itemsize = bundle_dtype(csr.num_vertices).itemsize
+        if store.budget_bytes is not None and (
+            csr.num_vertices * iterations * walks * itemsize > store.budget_bytes
+        ):  # refused before the build floods the bundle store for nothing
+            return None
         lanes, elapsed = store.get_or_build(
             ("lanes", walks, iterations),
             lambda: build_lanes(csr, snapshot.walks, walks, iterations),
@@ -550,7 +552,7 @@ def snapshot_index(
     ):
         alpha_probs, elapsed = store.get_or_build(
             ("alpha",),
-            lambda: one_step_arc_probabilities(csr),
+            lambda: one_step_arc_probabilities(csr, snapshot.caches.alpha_cache),
             lambda artifact: artifact.nbytes,
         )
         build_ms += elapsed

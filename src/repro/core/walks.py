@@ -25,7 +25,7 @@ bookkeeping (:class:`WalkStatistics`) and the full WalkPr algorithm
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -183,6 +183,10 @@ class AlphaCache:
             cached = alpha(self._graph, vertex, used_out_neighbors, out_step_count)
             self._cache[key] = cached
         return cached
+
+    def fill(self, items: Iterable) -> None:
+        """Memoise ``(key, value)`` pairs that equal :func:`alpha`'s bit for bit."""
+        self._cache.update(items)
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -18,13 +18,14 @@ import pytest
 
 from repro.core import kernels
 from repro.core.batch_walks import NO_VERTEX, meeting_probabilities_from_matrices
+from repro.core.bundle_store import WalkBundleStore
 from repro.core.engine import SimRankEngine
 from repro.core.executors import EngineCaches, TransitionCache, executor_for
 import repro.core.topk as topk_module
+import repro.core.topk_index as topk_index_module
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
 from repro.core.topk_index import (
     BOUND_SLACK,
-    ONE_STEP_BLOCK_FLOATS,
     TopKIndexStore,
     WalkLanes,
     one_step_arc_probabilities,
@@ -35,7 +36,7 @@ from repro.core.topk_index import (
     step_weights,
     survival_masses,
 )
-from repro.core.walks import alpha
+from repro.core.walks import AlphaCache, alpha
 from repro.graph.csr import CSRGraph, CSRGraphView
 from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph
@@ -112,11 +113,9 @@ class TestLanes:
 
     @staticmethod
     def _lanes(matrices: np.ndarray) -> WalkLanes:
-        _, walks, columns = matrices.shape
         return WalkLanes(
             np.ascontiguousarray(matrices[:, :, 1:].transpose(0, 2, 1)),
-            walks,
-            columns - 1,
+            matrices.shape[1],
         )
 
     @pytest.mark.parametrize("dtype", (np.int16, np.int32))
@@ -186,29 +185,51 @@ def _zoo(seed: int):
 
 
 class TestOneStepTable:
-    """The vectorized leave-one-out DP equals Eq. 11's α(u, {w}, 1)."""
+    """The vectorized leave-one-out DP equals Eq. 11's α(u, {w}, 1) bit for
+    bit, so it may fill the α cache the exact prefix reads."""
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    @pytest.mark.parametrize("block_floats", (ONE_STEP_BLOCK_FLOATS, 64))
-    def test_matches_alpha_on_the_zoo(self, seed, block_floats):
+    @pytest.mark.parametrize("block_floats", (None, 64))
+    def test_matches_alpha_on_the_zoo(self, seed, block_floats, monkeypatch):
         _, frozen = _zoo(seed)
-        # At 64 floats the degree-40 hub row spans 40 blocks of one arc.
-        table = one_step_arc_probabilities(frozen, block_floats=block_floats)
+        if block_floats is not None:
+            # At 64 floats the degree-40 hub row spans 40 blocks of one arc.
+            monkeypatch.setattr(
+                topk_index_module, "ONE_STEP_BLOCK_FLOATS", block_floats
+            )
         view = CSRGraphView(frozen)
+        cache = AlphaCache(view)
+        table = one_step_arc_probabilities(frozen, cache)
         expected = np.zeros(frozen.num_arcs)
         for position in range(frozen.num_vertices):
             source = frozen.vertex_at(position)
             for arc in range(frozen.indptr[position], frozen.indptr[position + 1]):
                 target = frozen.vertex_at(int(frozen.indices[arc]))
                 expected[arc] = alpha(view, source, {target}, 1)
-        assert (np.abs(table - expected) <= 1e-12 * np.abs(expected)).all()
+                assert cache.value(source, frozenset((target,)), 1) == expected[arc]
+        assert np.array_equal(table, expected)
         assert (table[frozen.probs == 0.0] == 0.0).all()
+        assert len(cache) == frozen.num_arcs
 
-    def test_leaves_the_alpha_cache_alone(self):
+    def test_filled_alpha_cache_keeps_two_phase_scores(self):
+        """Two-phase scores on a snapshot whose α cache the index filled
+        equal those of a snapshot that computed every α itself."""
         graph, _ = _zoo(4)
         engine = SimRankEngine(graph, num_walks=60, seed=4)
         assert snapshot_index(engine.snapshot(), "two_phase") is not None
-        assert len(engine.caches.alpha_cache) == 0
+        assert len(engine.caches.alpha_cache) == engine.snapshot().csr.num_arcs
+        reference = SimRankEngine(graph, num_walks=60, seed=4)
+        vertices = graph.vertices()
+        pairs = [(u, v) for u in vertices[:6] for v in vertices if u != v]
+        scores = [
+            result.score
+            for result in engine.batch_executor("two_phase").run_batch(pairs, {})
+        ]
+        expected = [
+            result.score
+            for result in reference.batch_executor("two_phase").run_batch(pairs, {})
+        ]
+        assert scores == expected
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_two_phase_bounds_dominate_scores_on_the_zoo(self, seed):
@@ -626,6 +647,29 @@ class TestLanesFillTheStore:
             assert second.candidates_rescored is not None
             assert service.store.stats.misses == misses
             assert sampled == []
+
+    def test_lanes_over_the_index_budget_leave_the_store_empty(self):
+        """Lanes too large for the index budget are refused before the
+        build resolves a single bundle; the query falls back to the scan."""
+        graph = _random_graph(23, num_vertices=60, num_edges=200)
+        walks, iterations = 64, 4
+        lane_bytes = 60 * iterations * walks * np.dtype(np.int16).itemsize
+        bundles = WalkBundleStore(budget_bytes=None)
+        engine = SimRankEngine(
+            graph, iterations=iterations, num_walks=walks, seed=23,
+            bundle_store=bundles, topk_index_budget_bytes=lane_bytes - 1,
+        )
+        assert snapshot_index(engine.snapshot(), "sampling") is None
+        assert len(bundles) == 0
+        assert bundles.stats.misses == 0
+        assert len(engine.caches.topk_indexes) == 2  # survival and sinks fit
+        query = graph.vertices()[0]
+        reference = SimRankEngine(
+            graph, iterations=iterations, num_walks=walks, seed=23
+        )
+        assert top_k_similar_to(
+            engine, query, 5, method="sampling", use_index=True
+        ) == top_k_similar_to(reference, query, 5, method="sampling")
 
     @pytest.mark.parametrize("method", ("sampling", "two_phase"))
     def test_budget_below_all_bundles_evicts_and_matches_scan(self, method):

@@ -70,7 +70,7 @@ def test_bench_topk_index_beats_scan(benchmark):
         compare, rounds=1, iterations=1
     )
     speedup = scan_s / indexed_s
-    store = engine.caches.topk_indexes.stats()
+    store = engine.caches.topk_indexes.cache_stats()
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["scan_ms"] = 1000.0 * scan_s
     benchmark.extra_info["indexed_ms"] = 1000.0 * indexed_s

@@ -1,4 +1,4 @@
-"""Bounded LRU store for per-endpoint walk bundles and other sized values.
+"""The one bounded LRU of the serving layer: :class:`WalkBundleStore`.
 
 The engine's original multi-pair batching kept walk bundles in plain dicts
 that grew without bound — fine for one batched call, fatal for a long-running
@@ -6,6 +6,24 @@ query service that touches millions of endpoints over its lifetime.
 :class:`WalkBundleStore` replaces those dicts with an LRU-evicting mapping
 under a configurable byte budget, with hit/miss/eviction/repair counters,
 bound to one graph snapshot identity at a time.
+
+Every serving cache is one of these stores:
+
+* the walk bundles of a tenant or an engine (the base class; keyed by
+  :meth:`repro.core.batch_walks.ShardedWalkSampler.store_key`, so bundles
+  sampled by an engine and by a service tenant under one ``(seed,
+  shard_size)`` scheme are interchangeable), and, per snapshot on
+  :class:`~repro.core.executors.EngineCaches`, the SR-SP propagation
+  tables;
+* the top-k index artifacts
+  (:class:`~repro.core.topk_index.TopKIndexStore`);
+* the exact transition distributions of two_phase/speedup's prefix
+  (:class:`~repro.core.executors.TransitionCache`), sized by their state
+  count.
+
+The store is agnostic about keys (any hashable works) and values: an entry
+weighs the ``size`` given to :meth:`WalkBundleStore.put`, by default the
+value's ``nbytes``.
 
 A walk is a pure function of its world key and of the out-rows it leaves
 (:mod:`repro.core.batch_walks`), so a graph mutation need not empty the
@@ -16,23 +34,17 @@ vertex was last dirtied, and a lookup at a newer generation reports the
 rows of the entry that left a vertex dirtied since — the only rows that can
 differ from a fresh sample.  :class:`~repro.core.executors.WalkSource`
 resamples those rows and puts the repaired copy back.  A sync that does not
-know the mutated rows clears the store.
-
-The store itself is agnostic about keys (any hashable works) and values
-(anything exposing ``nbytes``: numpy arrays, SR-SP
-:class:`~repro.core.speedup.PackedTables`).  The canonical key for a walk
-bundle is :meth:`repro.core.batch_walks.ShardedWalkSampler.store_key`, so
-bundles sampled by an engine and by a service tenant under one ``(seed,
-shard_size)`` scheme are interchangeable.
-:class:`~repro.core.executors.EngineCaches` keeps a second instance per
-snapshot for SR-SP propagation tables.  :class:`VersionedStoreView` pins a
+know the mutated rows clears the store.  :class:`VersionedStoreView` pins a
 store to one graph snapshot: every engine snapshot (and so every published
 service epoch) resolves its bundles through one.
 
 All operations are thread-safe: the service's batch worker and any number of
 submitting threads may touch the store concurrently.  The store never holds
 its lock while a value is built: callers ``get``/``lookup``, build a miss or
-a repair outside the store, then ``put`` it.
+a repair outside the store, then ``put`` it.  The one exception is
+:meth:`~repro.core.topk_index.TopKIndexStore.get_or_build`, which builds an
+index artifact under the lock so concurrent readers of one snapshot share a
+single build.
 """
 
 from __future__ import annotations
@@ -145,10 +157,10 @@ class WalkBundleStore:
     Parameters
     ----------
     budget_bytes:
-        Maximum total ``nbytes`` of retained bundles; least-recently-used
-        entries are evicted when an insert pushes the store over the budget.
+        Maximum total size of retained entries; least-recently-used entries
+        are evicted when an insert pushes the store over the budget.
         ``None`` disables eviction (an unbounded store, used for ephemeral
-        per-call caches).  A single bundle larger than the whole budget is
+        per-call caches).  A single entry larger than the whole budget is
         never retained.
     """
 
@@ -159,10 +171,10 @@ class WalkBundleStore:
             )
         self._budget = budget_bytes
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        # The store generation each entry is valid at.  The generation is
-        # bumped by every version change, so it orders the versions the
-        # store has been bound to.
-        self._valid_at: Dict[Hashable, int] = {}
+        # Per entry: the store generation it is valid at, and its size.  The
+        # generation is bumped by every version change, so it orders the
+        # versions the store has been bound to.
+        self._meta: Dict[Hashable, Tuple[int, int]] = {}
         self._bytes = 0
         self._version: Hashable = None
         self._generation = 0
@@ -185,7 +197,7 @@ class WalkBundleStore:
 
     @property
     def current_bytes(self) -> int:
-        """Total ``nbytes`` of the retained bundles."""
+        """Total size of the retained entries."""
         return self._bytes
 
     @property
@@ -224,7 +236,7 @@ class WalkBundleStore:
         bundle = self._entries.get(key)
         if bundle is None:
             return None
-        valid_at = self._valid_at[key]
+        valid_at = self._meta[key][0]
         if valid_at == self._generation:
             return bundle, None
         stale = stale_rows(bundle, self._dirtied, valid_at)
@@ -269,30 +281,28 @@ class WalkBundleStore:
             self._stats.rows_repaired += int(found[1][0].size)
         return found
 
-    def put(self, key: Hashable, bundle: Any) -> Any:
+    def put(self, key: Hashable, bundle: Any, size: Optional[int] = None) -> Any:
         """Store ``bundle`` under ``key``, evicting LRU entries over budget.
 
-        The entry is valid at the store's current version.  Returns the
+        The entry weighs ``size`` (default ``bundle.nbytes``) against the
+        budget and is valid at the store's current version.  Returns the
         bundle, so callers can ``return store.put(key, b)``.
         """
-        size = int(bundle.nbytes)
+        size = int(bundle.nbytes) if size is None else int(size)
         with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= int(previous.nbytes)
-                del self._valid_at[key]
+            if self._entries.pop(key, None) is not None:
+                self._bytes -= self._meta.pop(key)[1]
             if self._budget is not None and size > self._budget:
                 # An entry that could never fit would immediately evict the
                 # whole store and then itself; serve it uncached instead.
                 self._stats.evictions += 1
                 return bundle
             self._entries[key] = bundle
-            self._valid_at[key] = self._generation
+            self._meta[key] = (self._generation, size)
             self._bytes += size
             while self._budget is not None and self._bytes > self._budget:
-                evicted_key, evicted = self._entries.popitem(last=False)
-                del self._valid_at[evicted_key]
-                self._bytes -= int(evicted.nbytes)
+                evicted_key, _ = self._entries.popitem(last=False)
+                self._bytes -= self._meta.pop(evicted_key)[1]
                 self._stats.evictions += 1
         return bundle
 
@@ -303,22 +313,6 @@ class WalkBundleStore:
         """The snapshot identity the store is currently bound to."""
         with self._lock:
             return self._version
-
-    def get_versioned(self, key: Hashable, token: Hashable) -> Optional[Any]:
-        """:meth:`get`, but only while the store is still bound to ``token``.
-
-        A reader pinned to an older graph snapshot must never be handed a
-        bundle valid at a newer one (the keys coincide across versions).
-        When ``token`` no longer matches, the lookup is a miss by
-        definition: the caller resamples on its own pinned snapshot, which
-        is bit-identical to what the store held for that version before it
-        moved on.
-        """
-        with self._lock:
-            if token != self._version:
-                self._stats.misses += 1
-                return None
-            return self.get(key)
 
     def lookup_versioned(self, key: Hashable, token: Hashable) -> Optional[Lookup]:
         """:meth:`lookup`, but only while the store is still bound to ``token``."""
@@ -351,7 +345,7 @@ class WalkBundleStore:
     def _clear_locked(self) -> int:
         dropped = len(self._entries)
         self._entries.clear()
-        self._valid_at.clear()
+        self._meta.clear()
         self._bytes = 0
         return dropped
 
@@ -404,8 +398,8 @@ class VersionedStoreView:
     version's cache.  The view forwards every operation through the store's
     version-checked entry points — while the store is still bound to this
     view's token it behaves exactly like the store; afterwards every
-    ``get``/``lookup`` misses and every ``put`` is dropped, and the retiring
-    reader simply resamples (bit-identically) on its own pinned snapshot.
+    ``lookup`` misses and every ``put`` is dropped, and the retiring reader
+    simply resamples (bit-identically) on its own pinned snapshot.
     """
 
     __slots__ = ("_store", "token")
@@ -418,10 +412,6 @@ class VersionedStoreView:
     def current(self) -> bool:
         """Whether the backing store is still bound to this view's version."""
         return self._store.version_token == self.token
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        """Version-checked :meth:`WalkBundleStore.get`."""
-        return self._store.get_versioned(key, self.token)
 
     def lookup(self, key: Hashable) -> Optional[Lookup]:
         """Version-checked :meth:`WalkBundleStore.lookup`."""

@@ -61,7 +61,6 @@ rejected with a clear error instead of being silently ignored.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     ClassVar,
@@ -128,17 +127,15 @@ _FILTER_STREAM = 2
 #: loop stops here even if the CI half-width target was not met.
 DEFAULT_ADAPTIVE_MAX_WALKS = 16384
 
-#: Default budget of the cross-batch transition cache, measured in stored
-#: distribution entries (vertex → probability pairs), not bytes: the dicts
-#: the exact walk extension returns have no cheap byte size, but their entry
-#: count tracks their footprint closely.
-DEFAULT_TRANSITION_CACHE_STATES = 250_000
-
-#: Approximate bytes per stored transition-cache state, used only so the
-#: uniform ``cache_stats()`` shape can report a comparable ``bytes`` figure:
-#: one dict slot (key + value references + hash-table overhead) plus the
-#: boxed vertex and float, measured empirically at ~96 B on CPython 3.11.
+#: Approximate bytes per stored transition-cache state (one vertex →
+#: probability entry of a distribution dict): one dict slot (key + value
+#: references + hash-table overhead) plus the boxed vertex and float,
+#: measured empirically at ~96 B on CPython 3.11.  The dicts have no cheap
+#: byte size, but their entry count tracks their footprint closely.
 TRANSITION_STATE_BYTES = 96
+
+#: Byte budget of each snapshot's :class:`TransitionCache`: 250,000 states.
+TRANSITION_CACHE_BUDGET_BYTES = 250_000 * TRANSITION_STATE_BYTES
 
 #: Byte budget of each snapshot's SR-SP table store
 #: (:attr:`EngineCaches.speedup_tables`).  A fixed constant, not an option:
@@ -149,7 +146,7 @@ TRANSITION_STATE_BYTES = 96
 SPEEDUP_TABLE_BUDGET_BYTES = 64 * 1024 * 1024
 
 
-class TransitionCache:
+class TransitionCache(WalkBundleStore):
     """Cross-batch LRU for exact single-source transition distributions.
 
     Executors keep a batch-local distribution dict so one batch never
@@ -157,86 +154,25 @@ class TransitionCache:
     batches (and across the read pool's executors) at one snapshot — the
     access pattern of the index's exact re-scoring phase, where successive
     pruned chunks keep hitting the same query endpoint.  Entries are the
-    immutable lists :func:`single_source_transition_probabilities` returns;
-    the budget counts stored distribution entries and evicts least recently
-    used endpoints, mirroring the walk-bundle store's discipline.
+    immutable lists :func:`single_source_transition_probabilities` returns,
+    each weighing its stored states (plus one) at
+    :data:`TRANSITION_STATE_BYTES` apiece.
     """
 
-    def __init__(self, max_states: int = DEFAULT_TRANSITION_CACHE_STATES):
-        if max_states <= 0:
-            raise InvalidParameterError(
-                f"transition cache budget must be positive, got {max_states}"
-            )
-        self.max_states = int(max_states)
-        self._entries: "OrderedDict[tuple, Tuple[List[Dict[Vertex, float]], int]]" = (
-            OrderedDict()
-        )
-        self._states = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def __init__(self, budget_bytes: int = TRANSITION_CACHE_BUDGET_BYTES) -> None:
+        super().__init__(budget_bytes)
 
     def get(self, key: tuple) -> "List[Dict[Vertex, float]] | None":
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[0]
+        """The cached distributions of ``key``, or ``None`` (counted).
+
+        Defined on this class, not inherited, so a tracer can wrap the
+        transition cache's lookups alone.
+        """
+        return super().get(key)
 
     def put(self, key: tuple, distributions: "List[Dict[Vertex, float]]") -> None:
-        size = sum(len(level) for level in distributions) + 1
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._states -= previous[1]
-            if size > self.max_states:
-                self.evictions += 1
-                return
-            self._entries[key] = (distributions, size)
-            self._states += size
-            while self._states > self.max_states:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self._states -= dropped
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._states = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "states": self._states,
-                "max_states": self.max_states,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def cache_stats(self) -> Dict[str, int]:
-        """The uniform ``{hits, misses, evictions, bytes}`` cache shape.
-
-        ``bytes`` is estimated from the state budget (the cache's native
-        unit) at :data:`TRANSITION_STATE_BYTES` per state, so the three
-        serving caches report comparable figures.
-        """
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "bytes": self._states * TRANSITION_STATE_BYTES,
-            }
+        states = sum(len(level) for level in distributions) + 1
+        super().put(key, distributions, states * TRANSITION_STATE_BYTES)
 
 
 class EngineCaches:
@@ -272,7 +208,6 @@ class EngineCaches:
         seed: int,
         csr: Optional[CSRGraph] = None,
         topk_index_budget_bytes: Optional[int] = DEFAULT_INDEX_BUDGET_BYTES,
-        transition_cache_states: int = DEFAULT_TRANSITION_CACHE_STATES,
     ) -> None:
         self.key = key
         self._graph = graph
@@ -283,7 +218,7 @@ class EngineCaches:
         # Snapshot-scoped like everything else here: replaced wholesale when
         # the graph moves on, so epoch retirement invalidates both for free.
         self.topk_indexes = TopKIndexStore(topk_index_budget_bytes)
-        self.transitions = TransitionCache(transition_cache_states)
+        self.transitions = TransitionCache()
         # Keyed (vertex index, side, num_walks, steps, filter rebuild count),
         # so a filter redraw never serves tables of the old draw.
         self.speedup_tables = WalkBundleStore(SPEEDUP_TABLE_BUDGET_BYTES)
@@ -547,8 +482,7 @@ class MethodExecutor:
                     # before paying for a walk-extension run.  Entries are
                     # shared read-only, so handing out the same list to many
                     # executors is safe.
-                    shared = getattr(caches, "transitions", None)
-                    distributions = shared.get(key) if shared is not None else None
+                    distributions = caches.transitions.get(key)
                     if distributions is None:
                         distributions = single_source_transition_probabilities(
                             caches.view,
@@ -557,8 +491,7 @@ class MethodExecutor:
                             max_states=max_states,
                             alpha_cache=caches.alpha_cache,
                         )
-                        if shared is not None:
-                            shared.put(key, distributions)
+                        caches.transitions.put(key, distributions)
                     self._distributions[key] = distributions
                 out[endpoint] = distributions
         return out

@@ -67,19 +67,24 @@ step ``k`` (``(1-c)·c^k`` for ``k < n``, ``c^n`` for ``k = n``; note
 All float-valued bound components carry a small additive slack so that
 summation-order differences against the estimator can never flip a
 ``ub >= score`` relation into a false prune.
+
+The artifacts (sink mask, survival masses, one-step table, walk lanes) live
+in the snapshot's :class:`TopKIndexStore`, a
+:class:`~repro.core.bundle_store.WalkBundleStore` that builds an artifact on
+a miss.  Unlike every other store use, the build runs under the store's
+lock, so concurrent readers of one snapshot share a single build.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
-from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batch_walks import NO_VERTEX, bundle_dtype
+from repro.core.bundle_store import WalkBundleStore
 from repro.obs import NULL_SCOPE
 from repro.utils.errors import InvalidParameterError
 
@@ -259,98 +264,37 @@ def build_lanes(csr, walk_source, num_walks: int, length: int) -> WalkLanes:
     return WalkLanes(lanes, num_walks)
 
 
-class TopKIndexStore:
-    """Byte-budgeted LRU over one snapshot's index artifacts.
+class TopKIndexStore(WalkBundleStore):
+    """The byte-budgeted LRU of one snapshot's index artifacts.
 
-    Mirrors :class:`~repro.core.bundle_store.WalkBundleStore`: entries
-    are keyed artifacts with a known byte size, least-recently-used entries
-    are evicted once the budget is exceeded, and an artifact larger than
-    the whole budget is refused (callers then fall back to the scan).  The
-    store lives on :class:`~repro.core.executors.EngineCaches`, so epoch
-    retirement drops it wholesale — no cross-epoch invalidation protocol.
+    A :class:`~repro.core.bundle_store.WalkBundleStore` whose artifacts are
+    built on a miss: an artifact larger than the whole budget is refused
+    (callers then fall back to the scan).  The store lives on
+    :class:`~repro.core.executors.EngineCaches`, so epoch retirement drops
+    it wholesale — no cross-epoch invalidation protocol.
     """
 
     def __init__(self, budget_bytes: Optional[int] = DEFAULT_INDEX_BUDGET_BYTES):
-        if budget_bytes is not None and budget_bytes <= 0:
-            raise InvalidParameterError(
-                f"index budget must be positive or None, got {budget_bytes}"
-            )
-        self.budget_bytes = budget_bytes
-        self._entries: "OrderedDict[tuple, Tuple[object, int]]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.build_ms_total = 0.0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def bytes_used(self) -> int:
-        with self._lock:
-            return self._bytes
+        super().__init__(budget_bytes)
 
     def get_or_build(
-        self, key: tuple, build: Callable[[], object], size_of: Callable[[object], int]
+        self, key: tuple, build: Callable[[], object]
     ) -> Tuple[Optional[object], float]:
         """Return ``(artifact, build_ms)``; ``(None, ms)`` if over budget.
 
-        The build runs under the store lock: concurrent readers of the same
-        snapshot then share one build instead of racing duplicates.
+        Unlike every other store use, the build runs under the store lock:
+        concurrent readers of the same snapshot then share one build instead
+        of racing duplicates.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[0], 0.0
-            self.misses += 1
+            artifact = self.get(key)
+            if artifact is not None:
+                return artifact, 0.0
             started = time.perf_counter()
             artifact = build()
             build_ms = (time.perf_counter() - started) * 1000.0
-            self.build_ms_total += build_ms
-            size = int(size_of(artifact))
-            if self.budget_bytes is not None and size > self.budget_bytes:
-                self.evictions += 1
-                return None, build_ms
-            self._entries[key] = (artifact, size)
-            self._bytes += size
-            if self.budget_bytes is not None:
-                while self._bytes > self.budget_bytes:
-                    _, (_, dropped) = self._entries.popitem(last=False)
-                    self._bytes -= dropped
-                    self.evictions += 1
-            return artifact, build_ms
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "budget_bytes": self.budget_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "build_ms_total": self.build_ms_total,
-            }
-
-    def cache_stats(self) -> Dict[str, int]:
-        """The uniform ``{hits, misses, evictions, bytes}`` cache shape."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "bytes": self._bytes,
-            }
+            self.put(key, artifact)
+            return (artifact if self.peek(key) else None), build_ms
 
 
 class TopKIndex:
@@ -499,27 +443,21 @@ def snapshot_index(
 ) -> Optional[TopKIndex]:
     """The lazily built index of a pinned snapshot, or ``None`` if unusable.
 
-    ``None`` means "fall back to the scan": the snapshot's caches carry no
-    index store, a required artifact exceeds the byte budget, or a laned
-    method has no walk source to resolve its lanes through.
+    ``None`` means "fall back to the scan": a required artifact exceeds the
+    byte budget, or a laned method has no walk source to resolve its lanes
+    through.
     """
-    store: Optional[TopKIndexStore] = getattr(snapshot.caches, "topk_indexes", None)
-    if store is None:
-        return None
+    store: TopKIndexStore = snapshot.caches.topk_indexes
     prefix = exact_prefix if exact_prefix is not None else snapshot.exact_prefix
     iterations = snapshot.iterations
     csr = snapshot.csr
     build_ms = 0.0
 
-    survival, elapsed = store.get_or_build(
-        ("survival",), lambda: survival_masses(csr), lambda artifact: artifact.nbytes
-    )
+    survival, elapsed = store.get_or_build(("survival",), lambda: survival_masses(csr))
     build_ms += elapsed
     if survival is None:
         return None
-    sinks, elapsed = store.get_or_build(
-        ("sinks",), lambda: sink_mask(csr), lambda artifact: artifact.nbytes
-    )
+    sinks, elapsed = store.get_or_build(("sinks",), lambda: sink_mask(csr))
     build_ms += elapsed
     if sinks is None:
         return None
@@ -540,7 +478,6 @@ def snapshot_index(
         lanes, elapsed = store.get_or_build(
             ("lanes", walks, iterations),
             lambda: build_lanes(csr, snapshot.walks, walks, iterations),
-            lambda artifact: artifact.nbytes,
         )
         build_ms += elapsed
         if lanes is None:
@@ -553,7 +490,6 @@ def snapshot_index(
         alpha_probs, elapsed = store.get_or_build(
             ("alpha",),
             lambda: one_step_arc_probabilities(csr, snapshot.caches.alpha_cache),
-            lambda artifact: artifact.nbytes,
         )
         build_ms += elapsed
         # Over budget is survivable here: the survival product still bounds

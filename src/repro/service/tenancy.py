@@ -574,9 +574,8 @@ class GraphTenant:
                 "candidates_rescored": rescored,
                 "prune_ratio": (1.0 - rescored / total) if total else 0.0,
             }
-        store = getattr(self.engine.caches, "topk_indexes", None)
-        if store is not None:
-            counters["store"] = store.stats()
+        store = self.engine.caches.topk_indexes
+        counters["store"] = {"entries": len(store), **store.cache_stats()}
         return counters
 
     def stats(self) -> Dict[str, object]:

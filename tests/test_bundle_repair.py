@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +311,17 @@ class TestRepairStress:
                     thread.start()
                 for log in logs:
                     assert registry_service.mutate(log, graph="g").invalidated_bundles == 0
+                # Six quick logs can all land before a reader pins a current
+                # epoch; keep reading until every pair is answered at the
+                # final version, so carried bundles are surely looked up.
+                final = max(states)
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    with lock:
+                        done = {(u, v) for u, v, _, version, _ in answers if version == final}
+                    if len(done) == len(pairs):
+                        break
+                    time.sleep(0.001)
             finally:
                 stop.set()
                 for thread in threads:

@@ -295,7 +295,8 @@ class TestTopKIndexThroughHelpers:
     def test_index_artifacts_cached_on_engine(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=100, seed=4)
         top_k_similar_to(engine, "v1", k=2, method="sampling", use_index=True)
-        store = engine.caches.topk_indexes.stats()
-        assert store["entries"] > 0
+        store = engine.caches.topk_indexes
+        assert len(store) > 0
+        hits = store.stats.hits
         top_k_similar_to(engine, "v2", k=2, method="sampling", use_index=True)
-        assert engine.caches.topk_indexes.stats()["hits"] > store["hits"]
+        assert store.stats.hits > hits

@@ -130,7 +130,8 @@ class TestVersionedStoreView:
         view = VersionedStoreView(store, ("g", 1))
         bundle = np.zeros(4, dtype=np.int64)
         view.put("k", bundle)
-        assert view.get("k") is bundle
+        found, stale = view.lookup("k")
+        assert found is bundle and stale is None
         assert view.current
 
     def test_stale_view_misses_and_drops_puts(self):
@@ -139,19 +140,22 @@ class TestVersionedStoreView:
         view = VersionedStoreView(store, ("g", 1))
         view.put("k", np.zeros(4, dtype=np.int64))
         store.sync_version(("g", 2))  # the graph moved on
+        fresh = np.full(4, 2, dtype=np.int64)
+        store.put("k", fresh)  # the new version's entry under the same key
         assert not view.current
-        assert view.get("k") is None  # never serves the new version's cache
+        assert view.lookup("k") is None  # never serves the new version's cache
         late = np.ones(4, dtype=np.int64)
         assert view.put("other", late) is late  # returned, not retained
-        assert len(store) == 0
+        assert len(store) == 1 and not store.peek("other")
 
     def test_stale_get_counts_as_miss(self):
         store = WalkBundleStore()
         store.sync_version(("g", 1))
         view = VersionedStoreView(store, ("g", 1))
         store.sync_version(("g", 2))
-        view.get("k")
-        assert store.stats.misses == 1
+        store.put("k", np.zeros(4, dtype=np.int64))  # the new version's entry
+        assert view.lookup("k") is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
 
 
 class TestTenantEpochs:

@@ -78,6 +78,21 @@ class TestWalkBundleStore:
         assert store.current_bytes == 160
         assert len(store) == 1
 
+    def test_explicit_sizes_drive_eviction(self):
+        """An entry weighs the size given to ``put``; eviction subtracts that
+        recorded size and never reads the value's ``nbytes`` again."""
+        store = WalkBundleStore(budget_bytes=250)
+        first, second = ["no nbytes"], ["no nbytes either"]
+        store.put("a", first, size=100)
+        store.put("b", second, size=100)
+        assert store.current_bytes == 200
+        store.put("c", _array(0.0), size=120)  # evicts a (LRU)
+        assert not store.peek("a") and store.peek("b") and store.peek("c")
+        assert store.current_bytes == 220
+        assert store.stats.evictions == 1
+        store.put("b", second, size=30)  # replacing re-weighs the entry
+        assert store.current_bytes == 150
+
     def test_sync_version_invalidates(self):
         store = WalkBundleStore()
         store.sync_version(("g", 1))

@@ -20,7 +20,12 @@ from repro.core import kernels
 from repro.core.batch_walks import NO_VERTEX, meeting_probabilities_from_matrices
 from repro.core.bundle_store import WalkBundleStore
 from repro.core.engine import SimRankEngine
-from repro.core.executors import EngineCaches, TransitionCache, executor_for
+from repro.core.executors import (
+    TRANSITION_STATE_BYTES,
+    EngineCaches,
+    TransitionCache,
+    executor_for,
+)
 import repro.core.topk as topk_module
 import repro.core.topk_index as topk_index_module
 from repro.core.topk import top_k_similar_pairs, top_k_similar_to
@@ -539,33 +544,34 @@ class TestIndexStore:
             built.append(1)
             return np.zeros(16, dtype=np.uint8)
 
-        first, first_ms = store.get_or_build(("a",), build, lambda a: a.nbytes)
-        second, second_ms = store.get_or_build(("a",), build, lambda a: a.nbytes)
+        first, first_ms = store.get_or_build(("a",), build)
+        second, second_ms = store.get_or_build(("a",), build)
         assert second is first
         assert len(built) == 1
         assert second_ms == 0.0
-        assert store.hits == 1 and store.misses == 1
+        assert store.stats.hits == 1 and store.stats.misses == 1
 
     def test_lru_eviction_under_budget(self):
         store = TopKIndexStore(budget_bytes=100)
         make = lambda: np.zeros(40, dtype=np.uint8)  # noqa: E731
-        store.get_or_build(("a",), make, lambda a: a.nbytes)
-        store.get_or_build(("b",), make, lambda a: a.nbytes)
-        store.get_or_build(("a",), make, lambda a: a.nbytes)  # refresh a
-        store.get_or_build(("c",), make, lambda a: a.nbytes)  # evicts b (LRU)
-        assert store.evictions == 1
-        assert store.bytes_used == 80
-        hits_before = store.hits
-        store.get_or_build(("a",), make, lambda a: a.nbytes)
-        assert store.hits == hits_before + 1  # a survived the eviction
+        store.get_or_build(("a",), make)
+        store.get_or_build(("b",), make)
+        store.get_or_build(("a",), make)  # refresh a
+        store.get_or_build(("c",), make)  # evicts b (LRU)
+        assert store.stats.evictions == 1
+        assert store.current_bytes == 80
+        hits_before = store.stats.hits
+        store.get_or_build(("a",), make)
+        assert store.stats.hits == hits_before + 1  # a survived the eviction
+        assert not store.peek(("b",))
 
     def test_single_over_budget_artifact_refused(self):
         store = TopKIndexStore(budget_bytes=10)
         artifact, _ = store.get_or_build(
-            ("big",), lambda: np.zeros(64, dtype=np.uint8), lambda a: a.nbytes
+            ("big",), lambda: np.zeros(64, dtype=np.uint8)
         )
         assert artifact is None
-        assert store.evictions == 1
+        assert store.stats.evictions == 1
         assert len(store) == 0
 
     def test_invalid_budget_rejected(self):
@@ -573,12 +579,20 @@ class TestIndexStore:
             TopKIndexStore(budget_bytes=0)
 
     def test_stats_shape(self):
+        """The index store reports the bundle store's counters and the
+        uniform cache shape; the tenant adds its entry count."""
         store = TopKIndexStore()
-        stats = store.stats()
-        assert set(stats) == {
-            "entries", "bytes", "budget_bytes", "hits", "misses",
-            "evictions", "build_ms_total",
+        assert isinstance(store, WalkBundleStore)
+        assert set(store.cache_stats()) == {"hits", "misses", "evictions", "bytes"}
+        assert set(store.stats.as_dict()) == {
+            "hits", "misses", "evictions", "invalidations", "repairs",
+            "rows_repaired", "hit_rate",
         }
+        with SimilarityService(_random_graph(3), num_walks=60, seed=3) as service:
+            service.top_k_for_vertex(service.tenant().graph.vertices()[0], 3)
+            shape = service.service_stats()["tenants"]["default"]["topk_index"]["store"]
+        assert set(shape) == {"entries", "hits", "misses", "evictions", "bytes"}
+        assert shape["entries"] > 0 and shape["bytes"] > 0
 
     def test_engine_budget_gates_the_index(self):
         """An engine with a tiny index budget silently serves the scan."""
@@ -599,10 +613,10 @@ class TestIndexStore:
         query = graph.vertices()[0]
         top_k_similar_to(engine, query, 3, method="sampling", use_index=True)
         store = engine.caches.topk_indexes
-        misses_after_first = store.misses
+        misses_after_first = store.stats.misses
         top_k_similar_to(engine, graph.vertices()[1], 3, method="sampling", use_index=True)
-        assert store.misses == misses_after_first  # artifacts reused
-        assert store.hits > 0
+        assert store.stats.misses == misses_after_first  # artifacts reused
+        assert store.stats.hits > 0
 
     def test_mutation_retires_index_with_the_caches(self):
         graph = _random_graph(14)
@@ -692,29 +706,47 @@ class TestLanesFillTheStore:
 
 
 class TestTransitionCache:
+    """Entries weigh ``(states + 1) · TRANSITION_STATE_BYTES``, so a byte
+    budget of ``s · TRANSITION_STATE_BYTES`` evicts exactly where a budget
+    of ``s`` states did."""
+
     def test_put_get_and_lru(self):
-        cache = TransitionCache(max_states=5)
+        cache = TransitionCache(budget_bytes=5 * TRANSITION_STATE_BYTES)
         entry_a = [{"x": 0.5}, {"y": 0.5}]  # 2 states + 1 overhead = 3
         entry_b = [{"z": 1.0}]  # 1 state + 1 overhead = 2
         cache.put("a", entry_a)
         cache.put("b", entry_b)
+        assert cache.current_bytes == 5 * TRANSITION_STATE_BYTES
         assert cache.get("a") is entry_a
         cache.put("c", [{"w": 1.0}])  # evicts b: a was refreshed by the get
         assert cache.get("b") is None
         assert cache.get("a") is entry_a
-        stats = cache.stats()
+        stats = cache.cache_stats()
         assert stats["evictions"] == 1
         assert stats["hits"] == 2 and stats["misses"] == 1
+        assert stats["bytes"] == 5 * TRANSITION_STATE_BYTES
+
+    def test_default_budget_holds_250000_states(self):
+        cache = TransitionCache()
+        assert cache.budget_bytes == 250_000 * TRANSITION_STATE_BYTES
+        fits = [dict.fromkeys(range(249_999), 0.0)]  # + 1 overhead = 250,000
+        cache.put("fits", fits)
+        assert cache.get("fits") is fits
+        cache.put("over", [{"x": 1.0}])  # one more state evicts "fits"
+        assert not cache.peek("fits") and cache.peek("over")
+        cache.put("big", [dict.fromkeys(range(250_000), 0.0)])
+        assert not cache.peek("big")
+        assert cache.stats.evictions == 2
 
     def test_oversized_entry_refused(self):
-        cache = TransitionCache(max_states=2)
+        cache = TransitionCache(budget_bytes=2 * TRANSITION_STATE_BYTES)
         cache.put("big", [{"a": 0.5, "b": 0.5}, {"c": 1.0}])
         assert len(cache) == 0
-        assert cache.stats()["evictions"] == 1
+        assert cache.stats.evictions == 1
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(InvalidParameterError):
-            TransitionCache(max_states=0)
+            TransitionCache(budget_bytes=0)
 
     def test_exact_distributions_shared_across_batches(self):
         """The cross-batch satellite: a second batch on the same snapshot
@@ -726,8 +758,7 @@ class TestTransitionCache:
         executor_for("two_phase")(snapshot).run_batch(pairs, {})
         transitions = snapshot.caches.transitions
         assert len(transitions) > 0
-        misses_before = transitions.stats()["misses"]
+        misses_before = transitions.stats.misses
         executor_for("two_phase")(snapshot).run_batch(pairs, {})
-        stats = transitions.stats()
-        assert stats["misses"] == misses_before  # all served from cache
-        assert stats["hits"] > 0
+        assert transitions.stats.misses == misses_before  # all served from cache
+        assert transitions.stats.hits > 0

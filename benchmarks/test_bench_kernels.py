@@ -1,9 +1,9 @@
 """Keyed sweep kernel acceptance pins: fused speedup + bit-identity.
 
 The fused :class:`~repro.core.kernels.NumpyKernel` must beat the
-:class:`~tests.kernel_oracle.ReferenceKernel` step loop by ~2x
-single-threaded on the Fig. 12 sweep graphs while sampling bit-identical
-walk matrices.  The measured ratio lands in ``extra_info`` — exported as
+:class:`~tests.kernel_oracle.ReferenceKernel` step loop (the same
+keyed-rejection scheme, plainly written) by ~1.8x single-threaded on the
+Fig. 12 sweep graphs while sampling bit-identical walk matrices.  The measured ratio lands in ``extra_info`` — exported as
 ``BENCH_kernels.json`` by the CI bench job — and the assertion is a
 noise-headroom floor below the expected value, following the other ratio
 benchmarks in this suite.
@@ -56,13 +56,15 @@ def best_of(repeats: int, sample) -> float:
 
 @pytest.mark.paper_artifact("kernel-numpy-speedup")
 def test_bench_numpy_kernel_speedup(benchmark, sweep_csr, keyed_request):
-    """Tentpole pin: the fused numpy kernel is ~2x the reference loop.
+    """Tentpole pin: the fused numpy kernel is ~1.8x the reference loop.
 
     Measured single-threaded over both walk lengths of the core suite on the
     Fig. 12 sweep graph (best-of-5 per length, summed so neither length
-    dominates).  Expected ~2.0 at the quick scale and 2-3x at full scale on
-    an unloaded machine; the assertion floor keeps ~30% noise head-room, the
-    same policy as the chunk-heuristic pin.
+    dominates).  Both evaluate keyed rejection, so the gain is the fused
+    kernel's hoisted hashes, integer thresholds and batched tries: 1.6-1.7x
+    at the quick scale and 1.7-1.9x at full scale on an unloaded 2-core
+    machine; the assertion floor keeps noise head-room, the same policy as
+    the chunk-size pin.
     """
     sources, keys = keyed_request
 
@@ -86,8 +88,8 @@ def test_bench_kernels_bit_identical_at_bench_scale(sweep_csr, keyed_request):
     """The fused kernel samples the exact reference walk matrices.
 
     Run at the benchmark scale (not the unit-test scale) so the chunked
-    paths, the dense/ragged split, and the scratch reuse are all exercised
-    on the shapes the speedup is claimed for.
+    paths and the try/fallback split are exercised on the shapes the
+    speedup is claimed for.
     """
     sources, keys = keyed_request
     for length in (ITERATIONS, LONG_WALK):

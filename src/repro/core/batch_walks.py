@@ -22,10 +22,24 @@ that vertex's row, never by its global CSR position — so a degree change in
 one row leaves the draws of every other row alone.  Recomputing the hash at
 every visit yields the same Bernoulli outcome, which is exactly the
 "remembered instantiation" of the lazy possible world, with O(1) memory and
-fully vectorized evaluation.  The uniform *choice* among instantiated arcs
-comes from a second counter-based stream of ``(world_key, step)``, so every
-walk is a pure function of its world key and of the out-rows it leaves — the
-keyed, shared-fingerprint scheme of Fogaras & Rácz (WWW 2005) that makes
+fully vectorized evaluation.
+
+The uniform *choice* among instantiated arcs is made by **keyed rejection**
+from a second counter-based stream of ``(world_key, step, try)``
+(:func:`_pick_uniforms`).  For try ``t < TRIES`` the walk draws ``offset =
+floor(u(world_key, step, t) * d)`` over its row of degree ``d`` and tests
+that one arc's existence; the first arc that exists is taken.  A row that
+is unresolved after :data:`TRIES` tries enumerates its whole row and takes
+the ``(floor(u(world_key, step, TRIES) * |I|) + 1)``-th instantiated arc,
+or ends the walk when none is instantiated.  The choice is exactly uniform
+over the instantiated set ``I`` of the walk's world: every ``a`` in ``I`` is
+taken with probability ``sum_{t < T} (1/d) (1 - |I|/d)^t + (1 - |I|/d)^T /
+|I| = 1/|I|`` (the geometric sum is ``(1 - (1 - |I|/d)^T) / |I|``).  A
+revisit recomputes the same existence hashes, so the world is still
+remembered, and a step reads nothing but the row it leaves.  So every walk
+is a pure function of its world key and of the out-rows it leaves — the
+keyed, shared-fingerprint scheme of Fogaras & Rácz (WWW 2005), over the
+possible-world distribution of Potamias et al. (VLDB 2010), that makes
 batching, sharding and caching answer-neutral, and that lets a bundle store
 survive a graph mutation: only the walks that left a mutated row change
 (:meth:`ShardedWalkSampler.sample_bundles_mixed` resamples exactly those
@@ -53,6 +67,12 @@ from repro.utils.errors import InvalidParameterError
 #: the RNG scheme: two samplers agree bit-for-bit only if they use the same
 #: seed *and* shard size.
 DEFAULT_SHARD_SIZE = 256
+
+#: Keyed-rejection tries per walk step.  Part of the RNG scheme, like
+#: :data:`DEFAULT_SHARD_SIZE`: try ``t`` tests the arc at offset
+#: ``floor(u(world_key, step, t) * degree)``, and changing the count changes
+#: which walks come out.  4 and 6 measured about the same on R-MAT graphs.
+TRIES = 4
 
 #: Sentinel marking "walk already truncated" entries of a walk matrix.
 NO_VERTEX = -1
@@ -181,15 +201,19 @@ def _arc_uniforms(world_keys: np.ndarray, arc_keys: np.ndarray) -> np.ndarray:
     return (_splitmix64(mixed) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def _pick_uniforms(world_keys: np.ndarray, step: int) -> np.ndarray:
-    """Counter-based uniforms in ``[0, 1)`` for the step-``step`` arc choice.
+def _pick_uniforms(world_keys: np.ndarray, step: int, attempt: int) -> np.ndarray:
+    """Counter-based uniforms in ``[0, 1)`` for try ``attempt`` of step ``step``.
 
-    A pure function of ``(world_key, step)``, drawn from a stream salted away
-    from the arc-existence stream of :func:`_arc_uniforms`.  Used by the keyed
-    sampler so that a whole walk matrix is a deterministic function of its
-    world keys, independent of evaluation order or sharding.
+    A pure function of ``(world_key, step, attempt)``, drawn from a stream
+    salted away from the arc-existence stream of :func:`_arc_uniforms`: the
+    counter of ``(step, attempt)`` is ``step * (TRIES + 1) + attempt + 1``,
+    ``attempt`` running over the :data:`TRIES` rejection tries and then
+    ``TRIES`` itself for the enumeration fallback.  Used by the keyed sampler
+    so that a whole walk matrix is a deterministic function of its world
+    keys, independent of evaluation order or sharding.
     """
-    mixed = _splitmix64(world_keys ^ _PICK_SALT) + np.uint64(step + 1)
+    counter = np.uint64(step * (TRIES + 1) + attempt + 1)
+    mixed = _splitmix64(world_keys ^ _PICK_SALT) + counter
     return (_splitmix64(mixed) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -205,8 +229,10 @@ def sample_walk_matrix_keyed(
 
     Every entry of the returned matrix is a pure function of ``(csr,
     sources[i], world_keys[i])``: the arc-existence draws come from
-    the counter-based hash of :func:`_arc_uniforms` and the per-step choice
-    among instantiated arcs from :func:`_pick_uniforms`.  The walks of any
+    the counter-based hash of :func:`_arc_uniforms`, and the per-step choice
+    among instantiated arcs is the keyed rejection of the module docstring,
+    each try and the fallback drawing from :func:`_pick_uniforms` of
+    ``(world_key, step, try)``.  The walks of any
     subset of rows can be computed in any order and concatenated, so mixing
     endpoints and walk counts in one sweep never changes a bundle (see
     :class:`ShardedWalkSampler`).

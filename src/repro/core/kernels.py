@@ -7,21 +7,25 @@ the fused :class:`NumpyKernel` (the module-level :data:`KERNEL`).  Its step
 loop is fully deterministic: every walk is a pure function of ``(csr,
 source, world key)`` under the splitmix64 counter scheme, with each arc's
 existence draw keyed by its source vertex and row offset
-(:func:`~repro.core.batch_walks.local_arc_keys`), so any evaluation strategy
-that reproduces that scheme bit-for-bit samples the same walks.  The test
-suite pins the kernel bit-identical against a plain step-loop oracle.
+(:func:`~repro.core.batch_walks.local_arc_keys`) and each step's arc picked
+by keyed rejection — up to :data:`~repro.core.batch_walks.TRIES` draws of one
+offset from the ``(world key, step, try)`` stream, then a full-row
+enumeration for the rows every try missed (the scheme and its exactness
+proof are in :mod:`repro.core.batch_walks`).  Any evaluation strategy that
+reproduces that scheme bit-for-bit samples the same walks.  The test suite
+pins the kernel bit-identical against a plain step-loop oracle.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import threading
 from typing import Dict
 
 import numpy as np
 
 from repro.core.batch_walks import (
     NO_VERTEX,
+    TRIES,
     _PICK_SALT,
     _INV_2_53,
     _SPLITMIX_GAMMA,
@@ -35,39 +39,20 @@ from repro.graph.csr import CSRGraph
 from repro.utils.errors import InvalidParameterError
 
 __all__ = [
-    "DENSE_MAX_COLS",
-    "DENSE_MAX_WASTE",
     "KERNEL",
-    "NUMPY_CHUNK_MAX_ROWS",
-    "NUMPY_CHUNK_MIN_ROWS",
+    "NUMPY_CHUNK_ROWS",
     "NumpyKernel",
     "resolve_chunk_rows",
 ]
 
-#: Degree bound of the fused numpy kernel's dense fast path: rows whose
-#: current vertex has at most this many out-arcs are evaluated as a padded
-#: ``(rows, max_deg)`` gather (2-d vectorized ops, no ragged bookkeeping);
-#: heavier rows take the fused ragged path.  A performance knob only —
-#: every split of rows between the two paths samples identical walks.
-DENSE_MAX_COLS = 8
-
-#: Padding-waste bound of the dense fast path: the padded ``rows * cols``
-#: matrix may be at most this many times larger than the real arc count of
-#: the rows it covers, otherwise the step stays ragged (the padded lanes
-#: would cost more than the ragged bookkeeping they avoid).  Performance
-#: knob only, like :data:`DENSE_MAX_COLS`.
-DENSE_MAX_WASTE = 1.5
-
-#: Row-chunk bounds and per-chunk budget of the fused numpy kernel.  Its
-#: per-row working set is a fraction of a plain step loop's (scratch
-#: reuse, fewer temporaries), so sparse graphs want far larger chunks that
-#: amortize the per-step fixed costs over more rows, while dense graphs
-#: still need small chunks to keep the per-arc buffers cache-resident.
-#: Measured sweet spots scale roughly with ``1 / degree**2`` — see
-#: :func:`_numpy_chunk_rows`.
-NUMPY_CHUNK_MIN_ROWS = 2048
-NUMPY_CHUNK_MAX_ROWS = 32768
-NUMPY_CHUNK_BUDGET = 163840
+#: Rows per chunk of a keyed sweep.  A try touches one arc per row, so the
+#: per-row working set no longer grows with the degree: one size sits at or
+#: near the measured sweet spot on sparse and dense R-MAT graphs alike
+#: (chunks of 8k-32k rows within noise of each other; 2,048-row chunks up
+#: to ~1.6x slower on dense graphs, where per-step fixed costs dominate).
+#: Chunking never changes a walk: each row is a pure function of its world
+#: key.
+NUMPY_CHUNK_ROWS = 16384
 
 _U11 = np.uint64(11)
 _U27 = np.uint64(27)
@@ -96,43 +81,14 @@ def resolve_kernel(name: None = None) -> "NumpyKernel":
     return KERNEL
 
 
-def resolve_chunk_rows(csr: CSRGraph, length: int, chunk_rows: "int | None") -> int:
+def resolve_chunk_rows(chunk_rows: "int | None") -> int:
     """The row-chunk size of one keyed sweep."""
     if chunk_rows is None:
-        return _numpy_chunk_rows(csr, length)
+        return NUMPY_CHUNK_ROWS
     rows = int(chunk_rows)
     if rows < 1:
         raise InvalidParameterError(f"chunk_rows must be >= 1, got {chunk_rows}")
     return rows
-
-
-class _Scratch:
-    """Named, grow-only scratch buffers reused across steps and chunks.
-
-    One instance per thread (the kernel is a process-wide singleton and
-    the service's read pool samples concurrently), sized to the largest
-    request seen; ``get`` returns a leading view, so the per-step cost is the
-    writes into the buffer, never allocation.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-        self._iota_i64 = np.arange(0, dtype=np.int64)
-
-    def get(self, name: str, size: int, dtype: np.dtype) -> np.ndarray:
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.size < size:
-            buffer = np.empty(max(size, 256), dtype=dtype)
-            self._buffers[name] = buffer
-        return buffer[:size]
-
-    def get2d(self, name: str, rows: int, cols: int, dtype: np.dtype) -> np.ndarray:
-        return self.get(name, rows * cols, dtype).reshape(rows, cols)
-
-    def iota_i64(self, size: int) -> np.ndarray:
-        if self._iota_i64.size < size:
-            self._iota_i64 = np.arange(max(size, 256), dtype=np.int64)
-        return self._iota_i64[:size]
 
 
 def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -152,47 +108,38 @@ def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 class NumpyKernel:
     """The fused numpy rewrite of the step loop.
 
-    Same chunk structure and identical arithmetic as a plain per-step loop
-    over the ragged arc layout, with the per-element work cut roughly in
-    half:
+    Same chunk structure and identical arithmetic as a plain per-step loop,
+    with the per-draw work cut roughly in half:
 
     * The first splitmix64 of every arc uniform depends only on the arc's
       local key, so ``splitmix64(csr_arc_keys(csr))`` — with the
       existence thresholds and the out-degree array — is computed once per
       snapshot (:func:`_sweep_tables`, kept on the immutable CSR) and
-      gathered per step.  Until a sweep large enough to amortize the table
+      gathered per draw.  Until a sweep large enough to amortize the table
       comes along, tiny sweeps over a snapshot hash the gathered local keys
-      per step instead.
+      per step instead.  Likewise the first splitmix64 of the pick stream,
+      ``splitmix64(world_key ^ salt)``, is hashed once per walk.
     * The existence test compares raw hash bits against precomputed
       pre-shifted integer thresholds ``ceil(p * 2^53) << 11`` — exactly
       equivalent to the float compare ``(h >> 11) * 2^-53 < p`` (both
       sides are exact reals, and for thresholds below ``2^53`` the shift
       commutes with the compare), skipping both the float conversion and
-      the shift of every candidate arc.
-    * The ragged layout compresses each step to its instantiated arcs once
-      (one ``flatnonzero``): the row boundaries' insertion points in that
-      list give every row's instantiation count and first instantiated
-      entry, so the ``(pick + 1)``-th instantiated arc is one gather — no
-      ``reduceat`` and no per-arc row-id array (per-arc row values are
-      ``repeat``s of per-row values).
-    * Steps whose rows all have degree at most :data:`DENSE_MAX_COLS` and
-      pad to at most :data:`DENSE_MAX_WASTE` times their real arc count
-      take a padded ``(rows, max_deg)`` gather — plain 2-d vectorized ops,
-      no ragged bookkeeping; other steps keep the fused ragged layout.
+      the shift of every tested arc.
+    * All tries of a step are one ``(TRIES, rows)`` block of single-arc
+      draws, the first hit per row taken by an ``argmax``, so the per-step
+      work follows the rows, not their degrees, in a few large numpy calls;
+      only the rows every try missed pay for their whole row.
+    * The fallback compresses its rows to their instantiated arcs once (one
+      ``flatnonzero``): the row boundaries' insertion points in that list
+      give every row's instantiation count and first instantiated entry, so
+      the ``(pick + 1)``-th instantiated arc is one gather — no ``reduceat``
+      and no per-arc row-id array (per-arc row values are ``repeat``s of
+      per-row values).
 
     ``sample`` takes the inputs that
     :func:`~repro.core.batch_walks.sample_walk_matrix_keyed` validated and
     returns the ``(count, length + 1)`` int64 walk matrix.
     """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def _scratch(self) -> _Scratch:
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._local.scratch = _Scratch()
-        return scratch
 
     def sample(
         self,
@@ -203,7 +150,7 @@ class NumpyKernel:
         chunk_rows: "int | None" = None,
         first_steps: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        rows = resolve_chunk_rows(csr, length, chunk_rows)
+        rows = resolve_chunk_rows(chunk_rows)
         count = sources.shape[0]
         walks = np.full((count, length + 1), NO_VERTEX, dtype=np.int64)
         if first_steps is None:
@@ -212,7 +159,6 @@ class NumpyKernel:
             walks[np.arange(count), first_steps] = sources
         if count == 0 or length == 0:
             return walks
-        scratch = self._scratch()
         # The snapshot's hoisted tables, built by the first sweep that
         # touches enough arcs to amortize the passes over the arc arrays;
         # tiny sweeps over a huge snapshot hash gathered local keys instead.
@@ -237,7 +183,6 @@ class NumpyKernel:
                 world_keys[start:stop],
                 None if first_steps is None else first_steps[start:stop],
                 walks[start:stop],
-                scratch,
             )
         return walks
 
@@ -261,21 +206,6 @@ def _sweep_tables(csr: CSRGraph) -> tuple:
     return tables
 
 
-def _numpy_chunk_rows(csr: CSRGraph, length: int) -> int:
-    """Default chunk size of a keyed sweep.
-
-    The fused kernel's measured sweet spots fall off with the *square* of
-    the average degree: on sparse graphs the per-step fixed costs
-    (compaction, pick hashing, python dispatch) dominate, wanting many rows
-    per chunk, while on dense graphs the per-arc scratch buffers grow
-    ``degree``-fold per row and must stay cache-resident.  Chunking never
-    changes a walk: each row is a pure function of its world key.
-    """
-    avg_degree = max(1.0, csr.num_arcs / max(1, csr.num_vertices))
-    rows = int(NUMPY_CHUNK_BUDGET / (avg_degree * avg_degree))
-    return max(NUMPY_CHUNK_MIN_ROWS, min(NUMPY_CHUNK_MAX_ROWS, rows))
-
-
 def _fused_chunk(
     csr: CSRGraph,
     degree: np.ndarray,
@@ -287,7 +217,6 @@ def _fused_chunk(
     world_keys: np.ndarray,
     first_steps: "np.ndarray | None",
     walks: np.ndarray,
-    scratch: _Scratch,
 ) -> None:
     """Run the fused step loop over one chunk, writing into ``walks``.
 
@@ -300,7 +229,8 @@ def _fused_chunk(
     # Live-walk state, compacted every step: original row ids (for writing
     # into ``walks``), current vertices, world keys, and the hoisted first
     # half of the pick-uniform hash (``splitmix64(key ^ salt)`` is
-    # step-independent; a plain step loop recomputes it every step).
+    # independent of the step and the try; a plain step loop recomputes it
+    # for every draw).
     pick_all = _splitmix64(world_keys ^ _PICK_SALT)
     joining: Dict[int, np.ndarray] = {}
     if first_steps is None:
@@ -314,7 +244,6 @@ def _fused_chunk(
         for first in np.unique(first_steps[first_steps > 0]).tolist():
             joining[first] = np.flatnonzero(first_steps == first)
     last_join = max(joining, default=0)
-    tmp_rows = np.empty(sources.shape[0], dtype=np.uint64)
     for step in range(length):
         late = joining.get(step)
         if late is not None:
@@ -323,8 +252,8 @@ def _fused_chunk(
             keys = np.concatenate((keys, world_keys[late]))
             pick_base = np.concatenate((pick_base, pick_all[late]))
         degrees = degree[current]
-        has_out = degrees > 0
-        if not has_out.all():
+        if not degrees.all():
+            has_out = np.flatnonzero(degrees)
             rowid = rowid[has_out]
             current = current[has_out]
             keys = keys[has_out]
@@ -334,99 +263,67 @@ def _fused_chunk(
             if step >= last_join:
                 break
             continue
-        n = rowid.size
-        starts = indptr[current]
-        # Per-row pick uniforms: finish the hoisted pick hash for this step.
-        mixed = pick_base + np.uint64(step + 1)
-        pick_u = _splitmix64_inplace(mixed, tmp_rows[:n])
-        np.right_shift(pick_u, _U11, out=pick_u)
-        pick_u = pick_u.astype(np.float64)
-        pick_u *= _INV_2_53
-
-        # Dense is all-or-nothing per step: it wins only when the whole
-        # step pads tightly, and the recombine cost of a per-row split
-        # exceeds what the split saves on skewed (hub-heavy) graphs.
-        max_deg = int(degrees.max())
-        dense_ok = max_deg <= DENSE_MAX_COLS and max_deg * n <= DENSE_MAX_WASTE * int(
-            degrees.sum()
+        chosen = _step_arcs(
+            csr, arc_mix, thr, thr_shifted, current, indptr[current], degrees, keys,
+            pick_base, step,
         )
-        step_rows = _dense_rows if dense_ok else _ragged_rows
-        destinations, alive = step_rows(
-            csr, arc_mix, thr, thr_shifted, current, starts, degrees, keys, pick_u,
-            scratch,
-        )
-
-        rowid = rowid[alive]
-        keys = keys[alive]
-        pick_base = pick_base[alive]
-        current = destinations
-        walks[rowid, step + 1] = destinations
+        if chosen.min() < 0:
+            alive = np.flatnonzero(chosen >= 0)
+            rowid = rowid[alive]
+            keys = keys[alive]
+            pick_base = pick_base[alive]
+            chosen = chosen[alive]
+        current = csr.indices[chosen]
+        walks[rowid, step + 1] = current
 
 
-def _dense_rows(
+def _pick_draw(pick_base: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The ``[0, 1)`` pick uniforms of ``counters``, from the hoisted hash.
+
+    ``counters`` (``step * (TRIES + 1) + try + 1``) broadcast against
+    ``pick_base``.
+    """
+    mixed = pick_base + counters
+    _splitmix64_inplace(mixed, np.empty_like(mixed))
+    np.right_shift(mixed, _U11, out=mixed)
+    uniforms = mixed.astype(np.float64)
+    uniforms *= _INV_2_53
+    return uniforms
+
+
+def _arcs_exist(
     csr: CSRGraph,
     arc_mix: "np.ndarray | None",
     thr: "np.ndarray | None",
     thr_shifted: bool,
-    current: np.ndarray,
-    starts: np.ndarray,
-    degrees: np.ndarray,
+    arcs: np.ndarray,
     keys: np.ndarray,
-    pick_u: np.ndarray,
-    scratch: _Scratch,
-) -> tuple:
-    """One step over low-degree rows as a padded ``(rows, cols)`` gather."""
-    n = starts.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    cols = int(degrees.max())
-    # Arc ids stay int64: fancy gathers with signed indices are ~3x faster
-    # than with uint64 indices (numpy routes the latter through a slower
-    # bounds-checked path).
-    arc = scratch.get2d("dense_arc", n, cols, np.int64)
-    np.add(starts[:, None], scratch.iota_i64(cols)[None, :], out=arc)
-    # Padding lanes may run past the end of the arc arrays for the last
-    # vertex; clamp them (they are masked by ``valid`` below, so the value
-    # never matters — it only has to be a safe gather index).
-    np.minimum(arc, max(csr.num_arcs - 1, 0), out=arc)
-    valid = scratch.get2d("dense_valid", n, cols, np.bool_)
-    np.less(scratch.iota_i64(cols)[None, :], degrees[:, None], out=valid)
-    tmp = scratch.get2d("dense_tmp", n, cols, np.uint64)
+    vertices: "np.ndarray | None",
+    offsets: "np.ndarray | None",
+) -> np.ndarray:
+    """Whether each arc exists in its walk's world (the existence stream).
+
+    ``vertices`` and ``offsets`` (the arcs' local keys) are read only when
+    the snapshot has no hoisted tables yet.
+    """
     if arc_mix is not None:
-        hash_ = arc_mix[arc]
+        hash_ = arc_mix[arcs]
     else:
-        hash_ = local_arc_keys(current[:, None], scratch.iota_i64(cols)[None, :])
-        _splitmix64_inplace(hash_, tmp)
-    np.bitwise_xor(hash_, keys[:, None], out=hash_)
-    _splitmix64_inplace(hash_, tmp)
-    exists = scratch.get2d("dense_exists", n, cols, np.bool_)
+        hash_ = local_arc_keys(vertices, offsets)
+        _splitmix64_inplace(hash_, np.empty_like(hash_))
+    hash_ ^= keys
+    _splitmix64_inplace(hash_, np.empty_like(hash_))
     if thr is not None:
         if not thr_shifted:
             np.right_shift(hash_, _U11, out=hash_)
-        np.less(hash_, thr[arc], out=exists)
-    else:
-        np.right_shift(hash_, _U11, out=hash_)
-        uniforms = scratch.get2d("dense_uniforms", n, cols, np.float64)
-        np.multiply(hash_, _INV_2_53, out=uniforms)
-        np.less(uniforms, csr.probs[arc], out=exists)
-    np.logical_and(exists, valid, out=exists)
-    instantiated = exists.sum(axis=1, dtype=np.int64)
-    alive = instantiated > 0
-    picks = (pick_u * instantiated).astype(np.int64)
-    running = scratch.get2d("dense_running", n, cols, np.int64)
-    np.cumsum(exists, axis=1, dtype=np.int64, out=running)
-    # The chosen arc is the first column whose running instantiation count
-    # reaches ``pick + 1`` *and* is itself instantiated — exactly the
-    # step loop's "(pick + 1)-th instantiated arc".
-    hit = scratch.get2d("dense_hit", n, cols, np.bool_)
-    np.equal(running, (picks + 1)[:, None], out=hit)
-    np.logical_and(hit, exists, out=hit)
-    chosen_col = np.argmax(hit, axis=1)
-    destinations = csr.indices[(starts + chosen_col)[alive]]
-    return destinations, alive
+        return hash_ < thr[arcs]
+    np.right_shift(hash_, _U11, out=hash_)
+    uniforms = hash_.astype(np.float64)
+    uniforms *= _INV_2_53
+    return uniforms < csr.probs[arcs]
 
 
-def _ragged_rows(
+def _step_arcs(
     csr: CSRGraph,
     arc_mix: "np.ndarray | None",
     thr: "np.ndarray | None",
@@ -435,56 +332,70 @@ def _ragged_rows(
     starts: np.ndarray,
     degrees: np.ndarray,
     keys: np.ndarray,
-    pick_u: np.ndarray,
-    scratch: _Scratch,
-) -> tuple:
-    """One step over rows of arbitrary degree in the ragged flat layout."""
-    n = starts.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    row_starts = scratch.get("ragged_row_starts", n + 1, np.int64)
+    pick_base: np.ndarray,
+    step: int,
+) -> np.ndarray:
+    """The arc each live row takes at ``step``, or -1 where the walk dies.
+
+    Keyed rejection: try ``t`` tests the arc at offset ``floor(u(key, step,
+    t) * degree)`` and the first that exists is taken.  Rows every try
+    missed enumerate their whole row under the try-``TRIES`` uniform.
+    Evaluating every try of a row, not only those up to its first hit,
+    reads more hashes but never changes which arc is taken.
+    """
+    counter = step * (TRIES + 1) + 1
+    # Every try of every row in one (TRIES, rows) block: fewer, larger numpy
+    # calls than a compacting loop over the tries, which small sweeps (a
+    # bundle repair, a few pairs) would spend in per-call overhead.
+    tries = np.arange(counter, counter + TRIES, dtype=np.uint64)[:, None]
+    uniforms = _pick_draw(pick_base, tries)
+    uniforms *= degrees
+    offsets = uniforms.astype(np.int64)
+    arcs = offsets + starts
+    hit = _arcs_exist(csr, arc_mix, thr, thr_shifted, arcs, keys, current, offsets)
+    first = hit.argmax(axis=0)
+    rows = np.arange(current.size)
+    chosen = np.where(hit[first, rows], arcs[first, rows], -1)
+    rows = np.flatnonzero(chosen < 0)
+    if rows.size == 0:
+        return chosen
+    starts, degrees, keys = starts[rows], degrees[rows], keys[rows]
+    pick_base = pick_base[rows]
+    if arc_mix is None:
+        current = current[rows]
+
+    # The fallback, in the ragged flat layout: per-arc row values are
+    # ``repeat``s of per-row values (rows are contiguous in the flat layout),
+    # never gathers through a row-id array.  Arc ids stay int64: fancy
+    # gathers with signed indices are ~3x faster than with uint64 indices.
+    row_starts = np.empty(rows.size + 1, dtype=np.int64)
     row_starts[0] = 0
     np.cumsum(degrees, out=row_starts[1:])
-    total = int(row_starts[n])
-    # Per-arc row values are ``repeat``s of per-row values (rows are
-    # contiguous in the flat layout), never gathers through a row-id array.
-    # Arc ids stay int64 throughout — see the dense path.
-    arc = np.repeat(starts - row_starts[:n], degrees)
-    arc += scratch.iota_i64(total)
-    tmp = scratch.get("ragged_tmp", total, np.uint64)
-    if arc_mix is not None:
-        hash_ = arc_mix[arc]
+    flat = np.arange(int(row_starts[-1]))
+    arcs = np.repeat(starts - row_starts[:-1], degrees) + flat
+    if arc_mix is None:
+        vertices = np.repeat(current, degrees)
+        offsets = flat - np.repeat(row_starts[:-1], degrees)
     else:
-        offsets = scratch.iota_i64(total) - np.repeat(row_starts[:n], degrees)
-        hash_ = local_arc_keys(np.repeat(current, degrees), offsets)
-        _splitmix64_inplace(hash_, tmp)
-    np.bitwise_xor(hash_, np.repeat(keys, degrees), out=hash_)
-    _splitmix64_inplace(hash_, tmp)
-    exists = scratch.get("ragged_exists", total, np.bool_)
-    if thr is not None:
-        if not thr_shifted:
-            np.right_shift(hash_, _U11, out=hash_)
-        np.less(hash_, thr[arc], out=exists)
-    else:
-        np.right_shift(hash_, _U11, out=hash_)
-        uniforms = scratch.get("ragged_uniforms", total, np.float64)
-        np.multiply(hash_, _INV_2_53, out=uniforms)
-        np.less(uniforms, csr.probs[arc], out=exists)
-    # Compress to the instantiated arcs once, then do all the per-row
-    # accounting at row granularity: ``set_pos`` lists the instantiated
-    # flat positions in row order, so the row boundaries' insertion points
-    # in it give each row's first instantiated entry (``row_base``) and the
-    # instantiation counts (their differences), and the ``(pick + 1)``-th
-    # instantiated arc of row ``r`` is simply ``set_pos[row_base[r] + pick]``.
+        vertices = offsets = None
+    exists = _arcs_exist(
+        csr, arc_mix, thr, thr_shifted, arcs, np.repeat(keys, degrees), vertices,
+        offsets,
+    )
+    # Compress to the instantiated arcs once: ``set_pos`` lists them in row
+    # order, so the row boundaries' insertion points in it give each row's
+    # first instantiated entry and the instantiation counts (their
+    # differences), and the ``(pick + 1)``-th instantiated arc of row ``r``
+    # is simply ``set_pos[row_base[r] + pick]``.
     set_pos = np.flatnonzero(exists)
     bounds = np.searchsorted(set_pos, row_starts)
-    row_base = bounds[:n]
+    row_base = bounds[:-1]
     instantiated = bounds[1:] - row_base
     alive = instantiated > 0
-    picks = (pick_u * instantiated).astype(np.int64)
-    chosen = set_pos[(row_base + picks)[alive]]
-    destinations = csr.indices[arc[chosen]]
-    return destinations, alive
+    picks = _pick_draw(pick_base, np.uint64(counter + TRIES))
+    picks = (picks * instantiated).astype(np.int64)
+    chosen[rows[alive]] = arcs[set_pos[(row_base + picks)[alive]]]
+    return chosen
 
 
 #: The process-wide kernel instance every keyed sweep runs through.

@@ -25,12 +25,16 @@ estimator keeps the Sampling algorithm's independence assumption;
 
 The filter construction and the online propagation both run on the
 :class:`~repro.graph.csr.CSRGraph` snapshot of the graph.  The filter bits
-live in one ``(num_arcs, words)`` uint64 matrix.  The executor's
-propagation (:func:`propagate_packed_tables`) is *frontier-sparse*, in the
-manner of the bit-parallel fingerprints of Fogaras & Rácz (WWW 2005): a
-step touches only the out-arcs of the vertices some walk stands on, so
-its cost follows the frontier rather than the graph, and each step keeps
-only ``(active vertices, words)`` in a :class:`PackedTables`.
+live in one ``(num_arcs, words)`` uint64 matrix.  Because each process
+picks at most one out-arc per vertex, the build also keeps them as a
+``(num_vertices, N)`` choice table (:attr:`FilterVectors.choices`), and
+the executor's propagation (:func:`propagate_packed_tables`) moves the
+``N`` processes through it, one gather per step, then packs each step's
+processes per vertex — the bit-parallel fingerprints of Fogaras & Rácz
+(WWW 2005) evaluated process-wise: a step's cost follows the live
+processes rather than the graph's arcs, and each step keeps only
+``(active vertices, words)`` in a :class:`PackedTables`, the same bits the
+arc-by-arc ``AND``/``OR`` yields.
 :func:`packed_meeting_probabilities` popcounts only the vertices active on
 both sides.  The SR-SP executor caches each endpoint's tables per graph
 snapshot in :attr:`repro.core.executors.EngineCaches.speedup_tables`, a
@@ -47,6 +51,7 @@ from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
+from repro.core.batch_walks import bundle_dtype
 from repro.graph.csr import CSRGraph
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.bitvector import BitVector, popcount_words
@@ -105,6 +110,10 @@ class FilterVectors:
         self._filters: Dict[Arc, BitVector] = {}
         self._arc_position: Dict[Arc, int] | None = None
         self._packed = np.zeros((self._csr.num_arcs, self._words), dtype=np.uint64)
+        self._choices = np.full(
+            (self._csr.num_vertices, num_processes), -1,
+            dtype=bundle_dtype(self._csr.num_vertices),
+        )
         self._num_nonzero = 0
         self._build(ensure_rng(rng))
 
@@ -122,11 +131,16 @@ class FilterVectors:
         nonempty = degrees > 0
         starts = csr.indptr[:-1][nonempty]
         segment_of_arc = np.repeat(np.arange(starts.size), degrees[nonempty])
+        sources = csr.arc_sources()
         chunk = max(64, (self._BUILD_CHUNK_CELLS // arcs) // 64 * 64)
         any_chosen = np.zeros(arcs, dtype=bool)
         for first in range(0, n, chunk):
             block = min(chunk, n - first)
             chosen = self._build_block(rng, block, starts, segment_of_arc)
+            processes, chosen_arcs = np.nonzero(chosen)
+            self._choices[sources[chosen_arcs], first + processes] = csr.indices[
+                chosen_arcs
+            ]
             word = first // 64
             packed = _pack_bool_rows(np.ascontiguousarray(chosen.T), (block + 63) // 64)
             self._packed[:, word : word + packed.shape[1]] = packed
@@ -176,6 +190,18 @@ class FilterVectors:
     def packed(self) -> np.ndarray:
         """``(num_arcs, words)`` uint64 filter bits in CSR arc order."""
         return self._packed
+
+    @property
+    def choices(self) -> np.ndarray:
+        """``(num_vertices, num_processes)`` table of where each process moves.
+
+        Entry ``[w, i]`` is the destination of the one out-arc of ``w`` whose
+        filter bit ``i`` is set — the build picks at most one arc per vertex
+        and process — or -1 when process ``i`` instantiated none there: the
+        filter bits are this table, packed per arc.  Entries are in the walk
+        bundles' compact dtype (:func:`~repro.core.batch_walks.bundle_dtype`).
+        """
+        return self._choices
 
     def ones_mask(self) -> np.ndarray:
         """Packed all-ones vector over the ``num_processes`` bits."""
@@ -306,44 +332,44 @@ def propagate_packed_tables(
 ) -> PackedTables:
     """Array form of :func:`propagate_counting_tables` on packed filter words.
 
-    Only the live frontier is propagated: each step gathers the CSR arcs out
-    of the active rows, ANDs their source rows with the packed filter bits,
-    drops the all-zero contributions, and ORs the rest grouped by
-    destination (a sort plus one ``reduceat``).  The cost of a step
-    follows the frontier's out-arcs, not the graph, and a frontier that dies
-    leaves empty steps.
+    Each process picks at most one out-arc per vertex, so a process stands
+    on at most one vertex per step and the counting tables are the
+    processes grouped by where they stand: one gather per step through
+    :attr:`FilterVectors.choices` moves every live process, and the rows are
+    their bits packed per vertex.  The bits are those of the arc-by-arc
+    AND/OR propagation, and the cost of a step follows the live processes,
+    not the graph; a frontier that dies leaves empty steps.
     """
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
     csr = filters.csr
     if not csr.has_vertex(source):
         raise InvalidParameterError(f"source vertex {source!r} is not in the graph")
-    indptr, indices, packed = csr.indptr, csr.indices, filters.packed
-    active = np.array([csr.index_of(source)], dtype=np.int64)
-    rows = filters.ones_mask()[None, :]
-    tables = [(active, rows)]
+    choices = filters.choices
+    words = filters.packed.shape[1]
+    processes = filters.num_processes
+    start = csr.index_of(source)
+    live = np.arange(processes)
+    position = np.full(processes, start, dtype=np.int64)
+    tables = [(np.array([start], dtype=np.int64), filters.ones_mask()[None, :])]
     for _ in range(steps):
-        starts = indptr[active]
-        counts = indptr[active + 1] - starts
-        row_of_arc = np.repeat(np.arange(active.size), counts)
-        # Arc ids of the active rows' out-slices, concatenated in row order.
-        offsets = np.cumsum(counts) - counts
-        arcs = np.arange(row_of_arc.size) + np.repeat(starts - offsets, counts)
-        moved = rows[row_of_arc] & packed[arcs]
-        live = np.flatnonzero(np.bitwise_or.reduce(moved, axis=1))
-        # The sort only groups arcs by destination and OR is order-free, so
-        # the (several times faster) unstable sort yields the same bits.
-        order = np.argsort(indices[arcs[live]])
-        live = live[order]
-        targets = indices[arcs[live]]
-        firsts = np.flatnonzero(np.diff(targets, prepend=-1))
-        active = targets[firsts]
-        rows = (
-            np.bitwise_or.reduceat(moved[live], firsts, axis=0)
-            if firsts.size
-            else np.empty((0, packed.shape[1]), dtype=np.uint64)
-        )
-        tables.append((active, rows))
+        position = choices[position, live].astype(np.int64)
+        moved = np.flatnonzero(position >= 0)
+        # Group the live processes by vertex, each group's process ids
+        # ascending, so that their words come in order too.
+        order = moved[np.argsort(position[moved] * processes + live[moved])]
+        live, position = live[order], position[order]
+        new_vertex = np.diff(position, prepend=-1) != 0
+        # Distinct processes set distinct bits, so the bits of one word of
+        # one vertex OR together in one reduceat over their (vertex, word)
+        # runs.
+        cell = (np.cumsum(new_vertex) - 1) * words + (live >> 6)
+        runs = np.flatnonzero(np.diff(cell, prepend=-1))
+        rows = np.zeros(int(new_vertex.sum()) * words, dtype=np.uint64)
+        if runs.size:
+            bits = np.left_shift(np.uint64(1), (live & 63).astype(np.uint64))
+            rows[cell[runs]] = np.bitwise_or.reduceat(bits, runs)
+        tables.append((position[new_vertex], rows.reshape(-1, words)))
     return PackedTables(tables)
 
 

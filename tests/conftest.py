@@ -17,6 +17,23 @@ def pytest_configure(config: "pytest.Config") -> None:
         "the marked test exceeds the deadline (stdlib faulthandler — guards "
         "concurrent suites against deadlocks without external plugins)",
     )
+    config.addinivalue_line(
+        "markers",
+        "slow: a long statistical sweep, deselected unless a -m expression is "
+        "given (run it with `pytest -m slow`)",
+    )
+
+
+def pytest_collection_modifyitems(
+    config: "pytest.Config", items: "list[pytest.Item]"
+) -> None:
+    """Deselect ``slow`` tests unless the run picks tests by marker."""
+    if config.getoption("markexpr"):
+        return
+    slow = [item for item in items if item.get_closest_marker("slow")]
+    if slow:
+        config.hook.pytest_deselected(items=slow)
+        items[:] = [item for item in items if not item.get_closest_marker("slow")]
 
 
 @pytest.fixture(autouse=True)

@@ -2,11 +2,11 @@
 
 The production sweep (:func:`~repro.core.batch_walks.sample_walk_matrix_keyed`,
 which runs the fused :class:`~repro.core.kernels.NumpyKernel`) must sample
-walk matrices bit-identical to the original unchunked step loop of the
+walk matrices bit-identical to the plain unchunked step loop of the
 :class:`~tests.kernel_oracle.ReferenceKernel` oracle — the property the whole
 deterministic serving stack (sharding, epochs, bundle stores) rests on.  The
 suites here sweep chunk sizes and graph shapes chosen to drive the fused
-kernel through both its dense fast path and its ragged path, and
+kernel through every try of its keyed rejection and its full-row fallback, and
 cross-validate the keyed scheme against the scalar
 :func:`~repro.core.sampling.sample_walks` oracle statistically.
 """
@@ -18,7 +18,11 @@ import pytest
 
 import repro.core.batch_walks as batch_walks
 from repro.core.batch_walks import (
+    TRIES,
+    _arc_uniforms,
+    _pick_uniforms,
     endpoint_world_keys,
+    local_arc_keys,
     sample_walk_matrix_keyed,
     shard_world_keys,
 )
@@ -27,10 +31,8 @@ from repro.core.sampling import estimate_meeting_probabilities, sample_walks
 from repro.core.simrank import simrank_from_meeting_probabilities
 from repro.core.executors import WalkSource
 from repro.core.kernels import (
-    DENSE_MAX_COLS,
     KERNEL,
-    NUMPY_CHUNK_MAX_ROWS,
-    NUMPY_CHUNK_MIN_ROWS,
+    NUMPY_CHUNK_ROWS,
     NumpyKernel,
     default_kernel_name,
     resolve_chunk_rows,
@@ -53,7 +55,7 @@ MC_TOLERANCE = 0.05
 def reference_walks(
     csr: CSRGraph, sources: np.ndarray, length: int, keys: np.ndarray
 ) -> np.ndarray:
-    """The unchunked original step loop — the ground truth of bit-identity."""
+    """The unchunked plain step loop — the ground truth of bit-identity."""
     return ReferenceKernel().sample(
         csr, sources, length, keys, chunk_rows=max(1, sources.size)
     )
@@ -77,6 +79,25 @@ def keyed_request(csr: CSRGraph, count: int, seed: int):
     return sources, keys
 
 
+def first_step_outcome(csr: CSRGraph, source: int, key: np.uint64):
+    """How the step-0 draw of one walk resolves, recomputed one arc at a time.
+
+    The try index that found an instantiated arc, ``"fallback"`` when every
+    try missed but the row has one, or ``"dead"`` when it has none.
+    """
+    start, degree = int(csr.indptr[source]), int(csr.out_degrees()[source])
+    keys = np.array([key], dtype=np.uint64)
+
+    def exists(offset: int) -> bool:
+        arc_key = local_arc_keys(np.array([source]), np.array([offset]))
+        return bool(_arc_uniforms(keys, arc_key)[0] < csr.probs[start + offset])
+
+    for attempt in range(TRIES):
+        if exists(int(_pick_uniforms(keys, 0, attempt)[0] * degree)):
+            return attempt
+    return "fallback" if any(exists(j) for j in range(degree)) else "dead"
+
+
 def graph_zoo():
     """Graph shapes that drive the numpy kernel through all of its paths."""
     sparse = CSRGraph.from_uncertain(
@@ -85,14 +106,13 @@ def graph_zoo():
     dense = CSRGraph.from_uncertain(
         small_random_uncertain_graph(25, 0.55, seed=9)
     )
-    # Regular out-degree 3 ring: max degree under DENSE_MAX_COLS with zero
-    # padding waste, so every step takes the dense fast path.
+    # Regular out-degree 3 ring: every row can resolve at any try.
     ring = UncertainGraph()
     for u in range(40):
         for offset in (1, 2, 3):
             ring.add_arc(u, (u + offset) % 40, 0.3 + 0.5 * ((u + offset) % 7) / 7)
-    # Hub-and-spoke: one row of degree 60 amid degree-1 rows — the padded
-    # layout would waste > DENSE_MAX_WASTE, forcing the ragged path.
+    # Hub-and-spoke: one row of degree 60 amid degree-1 rows, whose
+    # every try tests the same arc, so a missing one falls back and dies.
     star = UncertainGraph()
     for leaf in range(1, 61):
         star.add_arc("hub", leaf, 0.8)
@@ -134,12 +154,10 @@ class TestKernelResolution:
         assert "kernel" not in TenantConfig.__dataclass_fields__
 
     def test_resolve_chunk_rows_bounds_and_override(self):
-        csr = GRAPHS["sparse"]
-        assert resolve_chunk_rows(csr, 5, 17) == 17
-        rows = resolve_chunk_rows(csr, 5, None)
-        assert NUMPY_CHUNK_MIN_ROWS <= rows <= NUMPY_CHUNK_MAX_ROWS
+        assert resolve_chunk_rows(17) == 17
+        assert resolve_chunk_rows(None) == NUMPY_CHUNK_ROWS
         with pytest.raises(InvalidParameterError, match="chunk_rows"):
-            resolve_chunk_rows(csr, 5, 0)
+            resolve_chunk_rows(0)
 
 
 class TestBitIdentity:
@@ -155,7 +173,7 @@ class TestBitIdentity:
             got = SWEEPS[kernel](csr, sources, length, keys)
             assert np.array_equal(got, expected), (name, kernel, length)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 64, 997, NUMPY_CHUNK_MAX_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 64, 997, 32768])
     def test_chunking_never_changes_walks(self, chunk_rows):
         csr = GRAPHS["sparse"]
         sources, keys = keyed_request(csr, 500, seed=42)
@@ -164,19 +182,24 @@ class TestBitIdentity:
             got = sweep(csr, sources, 7, keys, chunk_rows=chunk_rows)
             assert np.array_equal(got, expected), (kernel, chunk_rows)
 
-    def test_dense_and_ragged_paths_agree_across_boundary(self):
-        # Degrees straddling DENSE_MAX_COLS: the same walks must come out
-        # whether a step runs padded-dense or ragged.
-        for extra in (DENSE_MAX_COLS - 1, DENSE_MAX_COLS, DENSE_MAX_COLS + 1):
-            graph = UncertainGraph()
-            for u in range(30):
-                for offset in range(1, extra + 1):
-                    graph.add_arc(u, (u + offset) % 30, 0.6)
-            csr = CSRGraph.from_uncertain(graph)
-            sources, keys = keyed_request(csr, 400, seed=extra)
-            expected = reference_walks(csr, sources, 6, keys)
-            got = sample_walk_matrix_keyed(csr, sources, 6, keys)
-            assert np.array_equal(got, expected), extra
+    def test_rows_straddle_the_try_and_fallback_boundary(self):
+        # One step from rows resolved at try 0, at the last try, by the
+        # full-row fallback, and dead: the same walks must come out whichever
+        # way a row resolves.
+        graph = UncertainGraph()
+        for u in range(30):
+            degree = 1 + u % 12
+            for offset in range(1, degree + 1):
+                graph.add_arc(u, (u + offset) % 30, 0.02 + 0.96 * ((u * offset) % 11) / 10)
+        csr = CSRGraph.from_uncertain(graph)
+        sources, keys = keyed_request(csr, 2000, seed=17)
+        outcomes = {first_step_outcome(csr, s, k) for s, k in zip(sources, keys)}
+        assert {0, TRIES - 1, "fallback", "dead"} <= outcomes
+        for length in (1, 6):
+            expected = reference_walks(csr, sources, length, keys)
+            for rows in (None, 7):
+                got = sample_walk_matrix_keyed(csr, sources, length, keys, chunk_rows=rows)
+                assert np.array_equal(got, expected), (length, rows)
 
     def test_zero_probability_arcs_never_taken(self):
         # UncertainGraph forbids p=0, but the kernels accept any CSR: build

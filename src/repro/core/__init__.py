@@ -13,7 +13,8 @@ The package is organised around the paper's sections:
   sizes and the scalar walk sampler kept as a test oracle.
 * :mod:`repro.core.batch_walks` — the keyed batch walk sampler of the
   sampling-based algorithms.
-* :mod:`repro.core.speedup` — the bit-vector speed-up SR-SP (Section VI-D).
+* :mod:`repro.core.speedup` — the speed-up SR-SP (Section VI-D): filter
+  choice tables and the per-process lanes propagated over them.
 * :mod:`repro.core.executors` — snapshot-scoped, batched method executors:
   every algorithm (including the two-phase SR-TS of Section VI-C) behind one
   ``run_batch(pairs, overrides)`` contract — the only estimator path.

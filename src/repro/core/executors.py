@@ -33,9 +33,10 @@ bundles (and following the partial-sums sharing of Lizorkin et al., VLDB
   distributions (to ``l`` steps), and the sampled tail shares per-endpoint
   walk bundles exactly like ``sampling``.
 * ``speedup`` (SR-SP) — the exact prefix is shared as above, and the
-  frontier-sparse bit-vector propagation runs once per unique
-  ``(endpoint, side)`` over the snapshot's cached filter vectors; its
-  tables persist across batches in the snapshot's table store.
+  filter-vector propagation runs once per unique ``(endpoint, side)`` over
+  the snapshot's cached filter vectors, as ``N`` position lanes that meet
+  like walk bundles; the lanes persist across batches in the snapshot's
+  table store.
 * ``sampling`` — per-endpoint walk bundles resolved through the snapshot's
   :class:`WalkSource` (sampled once, reused across every pair and batch
   that hits the same store).
@@ -63,6 +64,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import (
+    Callable,
     ClassVar,
     Dict,
     FrozenSet,
@@ -93,12 +95,7 @@ from repro.core.simrank import (
     meeting_probabilities_from_distributions,
     simrank_from_meeting_probabilities,
 )
-from repro.core.speedup import (
-    FilterVectors,
-    PackedTables,
-    packed_meeting_probabilities,
-    propagate_packed_tables,
-)
+from repro.core.speedup import FilterVectors, propagate_lanes
 from repro.core.topk_index import DEFAULT_INDEX_BUDGET_BYTES, TopKIndexStore
 from repro.obs import NULL_SCOPE
 from repro.core.transition import single_source_transition_probabilities
@@ -109,6 +106,16 @@ from repro.utils.errors import InvalidParameterError
 from repro.utils.stats import DEFAULT_Z, batch_means_stderr, normal_interval
 
 Vertex = Hashable
+
+#: The two names a traced perfbench run wraps for its ``speedup.propagate``
+#: and ``speedup.meet`` spans; a benchmark change should rename them.  The
+#: SR-SP executor builds its lanes through ``propagate_packed_tables``, by
+#: this module's name, so the wrap sees every build.  Nothing calls
+#: ``packed_meeting_probabilities``: SR-SP lanes meet through
+#: :func:`meeting_probabilities_against_many` and
+#: :func:`meeting_probabilities_from_matrices`, like walk bundles.
+propagate_packed_tables = propagate_lanes
+packed_meeting_probabilities = meeting_probabilities_from_matrices
 
 #: The algorithms of the paper, using its names (the executor registry keys).
 METHODS = ("baseline", "sampling", "two_phase", "speedup")
@@ -137,12 +144,13 @@ TRANSITION_STATE_BYTES = 96
 #: Byte budget of each snapshot's :class:`TransitionCache`: 250,000 states.
 TRANSITION_CACHE_BUDGET_BYTES = 250_000 * TRANSITION_STATE_BYTES
 
-#: Byte budget of each snapshot's SR-SP table store
+#: Byte budget of each snapshot's SR-SP lane store
 #: (:attr:`EngineCaches.speedup_tables`).  A fixed constant, not an option:
-#: one endpoint's tables average ~71 KB on a 2,000-vertex, 6,000-arc R-MAT
-#: graph at ``N = 1000`` and ``n = 5``, so the budget keeps ~900 endpoint
-#: sides — the hot set of a Zipf pair stream — while a top-k scan's
-#: candidate side cycles through the LRU without growing it.
+#: one endpoint side's lanes are ``N × (n + 1)`` entries of the bundle
+#: dtype, 12,000 B at ``N = 1000``, ``n = 5`` and int16 (graphs up to
+#: 32,767 vertices), so the budget keeps ~5,500 endpoint sides — every side
+#: of the 2,000-vertex benchmark graph — while a top-k scan's candidate side
+#: cycles through the LRU without growing it.
 SPEEDUP_TABLE_BUDGET_BYTES = 64 * 1024 * 1024
 
 
@@ -183,7 +191,7 @@ class EngineCaches:
     :class:`~repro.graph.csr.CSRGraphView`, the dict-graph facade the exact
     algorithms read), the α cache of the exact algorithms, the SR-SP
     filter-vector pairs (one independently drawn u/v pair per
-    ``num_walks``) and the SR-SP propagation tables built from them
+    ``num_walks``) and the SR-SP lanes propagated over them
     (:attr:`speedup_tables`, a byte-budgeted LRU).  The object is
     identified by ``key`` — the ``(id(graph), graph.version)`` snapshot
     identity — and is *replaced wholesale*, never mutated across versions:
@@ -220,7 +228,7 @@ class EngineCaches:
         self.topk_indexes = TopKIndexStore(topk_index_budget_bytes)
         self.transitions = TransitionCache()
         # Keyed (vertex index, side, num_walks, steps, filter rebuild count),
-        # so a filter redraw never serves tables of the old draw.
+        # so a filter redraw never serves lanes of the old draw.
         self.speedup_tables = WalkBundleStore(SPEEDUP_TABLE_BUDGET_BYTES)
         self._filter_pairs: Dict[int, Tuple[FilterVectors, FilterVectors]] = {}
         self._rebuilds: Dict[int, int] = {}
@@ -377,7 +385,7 @@ class MethodExecutor:
     Subclasses implement :meth:`_run` over a validated pair list; the public
     :meth:`run_batch` adds override validation and endpoint checks.  An
     executor instance is cheap and batch-scoped: shared prefix work
-    (transition distributions, propagation tables) accumulates on the
+    (transition distributions, SR-SP lanes) accumulates on the
     instance, so reusing one executor across the chunks of a streamed query
     keeps sharing it, while a fresh executor starts clean.
 
@@ -386,7 +394,7 @@ class MethodExecutor:
     default) that times the method's internal stages — ``shared_prefix``
     (batched exact transition distributions), ``walk_sampling`` (bundle
     resolution), ``meeting_tails`` (Monte-Carlo meeting estimation) and
-    ``propagation`` (SR-SP packed tables) — into latency histograms and, when
+    ``propagation`` (SR-SP lanes) — into latency histograms and, when
     the caller bound query traces to the scope, into per-query spans.  The
     service rebinds it per batch subset; standalone engines never touch it.
     """
@@ -521,44 +529,53 @@ class MethodExecutor:
     def _sampled_meetings(
         self, pairs: Sequence[Tuple[Vertex, Vertex]], walks: int
     ) -> List[List[float]]:
-        """Monte-Carlo ``m(0) … m(n)`` per pair from shared walk bundles.
+        """Monte-Carlo ``m(0) … m(n)`` per pair from shared walk bundles."""
+        index_pairs, bundles = self._resolve_bundles(pairs, walks)
+        return self._lane_meetings(
+            index_pairs,
+            lambda u: bundles[(u, False, walks)],
+            lambda u, v: bundles[(v, u == v, walks)],
+        )
 
-        Pairs sharing their first endpoint (the shape top-k queries produce)
-        are compared against the query bundle in one broadcasted pass; the
-        floats are identical to the per-pair computation either way.
+    def _lane_meetings(
+        self,
+        index_pairs: Sequence[Tuple[int, int]],
+        lanes_u: Callable[[int], np.ndarray],
+        lanes_v: Callable[[int, int], np.ndarray],
+    ) -> List[List[float]]:
+        """``m(0) … m(n)`` per pair from its two sides' walk lanes.
+
+        ``lanes_u(u)`` and ``lanes_v(u, v)`` are a pair's ``(N, n + 1)``
+        lane matrices, by vertex index: walk bundles, or SR-SP process
+        lanes.  Pairs sharing their first endpoint (the shape top-k queries
+        produce) are compared against the query lanes in one broadcasted
+        pass; the floats are identical to the per-pair computation either
+        way.
         """
         iterations = self.snapshot.iterations
-        index_pairs, bundles = self._resolve_bundles(pairs, walks)
-        meetings: List[Optional[List[float]]] = [None] * len(pairs)
+        meetings: List[Optional[List[float]]] = [None] * len(index_pairs)
         with self.obs_scope.stage("meeting_tails"):
             grouped: Dict[int, List[int]] = {}
             for position, (u_index, v_index) in enumerate(index_pairs):
                 if u_index == v_index:
                     meetings[position] = meeting_probabilities_from_matrices(
-                        bundles[(u_index, False, walks)],
-                        bundles[(v_index, True, walks)],
-                        iterations,
-                        True,
+                        lanes_u(u_index), lanes_v(u_index, v_index), iterations, True
                     )
                 else:
                     grouped.setdefault(u_index, []).append(position)
             for u_index, positions in grouped.items():
                 if len(positions) == 1:
                     position = positions[0]
-                    v_index = index_pairs[position][1]
                     meetings[position] = meeting_probabilities_from_matrices(
-                        bundles[(u_index, False, walks)],
-                        bundles[(v_index, False, walks)],
+                        lanes_u(u_index),
+                        lanes_v(u_index, index_pairs[position][1]),
                         iterations,
                         False,
                     )
                     continue
                 tails = meeting_probabilities_against_many(
-                    bundles[(u_index, False, walks)],
-                    [
-                        bundles[(index_pairs[position][1], False, walks)]
-                        for position in positions
-                    ],
+                    lanes_u(u_index),
+                    [lanes_v(u_index, index_pairs[position][1]) for position in positions],
                     iterations,
                 )
                 for position, row in zip(positions, tails):
@@ -777,7 +794,7 @@ class TwoPhaseExecutor(MethodExecutor):
     distributions are sparse and cheap, and the exact prefix removes the
     largest contributions to the estimation error (the weight of ``m(k)``
     is ``c^k``).  For ``l < k <= n`` they are estimated by sampling — walk
-    bundles here, the SR-SP bit-vector propagation in
+    bundles here, the SR-SP filter-vector propagation in
     :class:`SpeedupExecutor`.  Corollary 1 bounds the resulting error by
     ``ε (c^(l+1) − c^n)`` with probability at least ``1 − δ``, roughly an
     order of magnitude better than the Sampling algorithm for ``l = 1`` and
@@ -868,7 +885,7 @@ class SpeedupExecutor(TwoPhaseExecutor):
         filters_u = overrides.get("filters")
         filters_v = overrides.get("filters_v")
         shared = bool(overrides.get("shared_filters"))
-        # Only the snapshot's own filter pair has cacheable tables; explicit
+        # Only the snapshot's own filter pair has cacheable lanes; explicit
         # filter sets (or one set for both sides) propagate uncached.
         store: Optional[WalkBundleStore] = None
         rebuild = 0
@@ -882,39 +899,39 @@ class SpeedupExecutor(TwoPhaseExecutor):
             filters_v = pair[1] if filters_v is None else filters_v
         if shared:
             filters_v = filters_u
-        processes = filters_u.num_processes
-        if filters_v.num_processes != processes:
+        if filters_v.num_processes != filters_u.num_processes:
             raise InvalidParameterError(
                 "filters and filters_v must encode the same number of "
                 "sampling processes"
             )
         # One propagation per unique (endpoint, side): the u-side and v-side
-        # tables come from independent filter sets, so a self-pair's two
-        # bundles stay independent exactly as in the per-pair algorithm.
+        # lanes come from independent filter sets, so a self-pair's two
+        # sides stay independent exactly as in the per-pair algorithm.
         # Misses build outside the store's lock; concurrent builders of one
-        # key produce identical tables, so the last put is as good as any.
-        tables: Dict[Tuple[Vertex, int], PackedTables] = {}
-
-        def table(endpoint: Vertex, side: int, filters: FilterVectors) -> PackedTables:
-            cached = tables.get((endpoint, side))
-            if cached is not None:
-                return cached
-            key = (snapshot.csr.index_of(endpoint), side, walks, iterations, rebuild)
-            cached = None if store is None else store.get(key)
-            if cached is None:
-                cached = propagate_packed_tables(endpoint, iterations, filters)
-                if store is not None:
-                    store.put(key, cached)
-            tables[(endpoint, side)] = cached
-            return cached
-
+        # key produce identical lanes, so the last put is as good as any.
+        csr = snapshot.csr
+        index_pairs = [(csr.index_of(u), csr.index_of(v)) for u, v in pairs]
+        lanes: Dict[Tuple[int, int], np.ndarray] = {}
         with self.obs_scope.stage("propagation"):
-            return [
-                packed_meeting_probabilities(
-                    table(u, 0, filters_u), table(v, 1, filters_v), processes, u, v
-                )
-                for u, v in pairs
-            ]
+            for (u, v), (u_index, v_index) in zip(pairs, index_pairs):
+                for endpoint, index, side, filters in (
+                    (u, u_index, 0, filters_u),
+                    (v, v_index, 1, filters_v),
+                ):
+                    if (index, side) in lanes:
+                        continue
+                    key = (index, side, walks, iterations, rebuild)
+                    built = None if store is None else store.get(key)
+                    if built is None:
+                        built = propagate_packed_tables(endpoint, iterations, filters)
+                        if store is not None:
+                            store.put(key, built)
+                    lanes[(index, side)] = built
+        return self._lane_meetings(
+            index_pairs,
+            lambda u: lanes[(u, 0)],
+            lambda u, v: lanes[(v, 1)],
+        )
 
 
 #: The executor registry, in the paper's method order.

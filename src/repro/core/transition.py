@@ -135,14 +135,17 @@ def single_source_transition_probabilities(
                     next_frontier[state] = (existing_probability + new_probability, existing_stats)
                 else:
                     next_frontier[state] = (new_probability, new_stats)
+                    # A level's state count only grows, so the budget is
+                    # checked at each new state rather than after the level.
+                    if len(next_frontier) > max_states:
+                        raise WalkExplosionError(
+                            f"exact walk extension produced {len(next_frontier)} "
+                            f"states (budget {max_states}); use the sampling or "
+                            "two-phase algorithm instead"
+                        )
                 next_distribution[neighbor] = (
                     next_distribution.get(neighbor, 0.0) + new_probability
                 )
-        if len(next_frontier) > max_states:
-            raise WalkExplosionError(
-                f"exact walk extension produced {len(next_frontier)} states "
-                f"(budget {max_states}); use the sampling or two-phase algorithm instead"
-            )
         distributions.append(next_distribution)
         frontier = next_frontier
         if not frontier:

@@ -1,8 +1,11 @@
-"""Fixed-width bit vectors used by the SR-SP speed-up technique.
+"""Fixed-width bit vectors: the paper's form of the SR-SP state.
 
 The speed-up algorithm of the paper (Section VI-D) represents the state of
 ``N`` simultaneous sampling processes as ``N``-dimensional bit vectors and
-replaces per-walk extension with bit-wise AND/OR.  Python's arbitrary
+replaces per-walk extension with bit-wise AND/OR.  The library's SR-SP
+path keeps the same state as per-process position lanes
+(:mod:`repro.core.speedup`); these vectors remain for the bit-vector test
+oracle and for callers that want the paper's form.  Python's arbitrary
 precision integers provide exactly the operations needed (``&``, ``|``,
 ``int.bit_count``), so a :class:`BitVector` is a thin, immutable wrapper around
 an ``int`` plus a width.
@@ -20,15 +23,6 @@ def popcount(value: int) -> int:
     if value < 0:
         raise ValueError("popcount is defined for non-negative integers only")
     return value.bit_count()
-
-
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Element-wise set-bit counts of an unsigned integer array.
-
-    The array form of :func:`popcount`, used wherever bits are packed into
-    uint64 words (the SR-SP counting tables).
-    """
-    return np.bitwise_count(words)
 
 
 class BitVector:

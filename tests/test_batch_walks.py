@@ -4,9 +4,9 @@ The keyed sampler behind every executor must reproduce the semantics of the
 scalar :func:`~repro.core.sampling.sample_walk`: walks follow existing arcs,
 truncate at dead ends of the sampled possible world, and the engine's
 meeting-probability estimates agree with the scalar estimator (and with the
-exact Baseline values) within Monte-Carlo tolerance.  The SR-SP
-frontier-sparse packed propagation must match the per-vertex counting tables
-exactly.
+exact Baseline values) within Monte-Carlo tolerance.  The SR-SP filter
+build must draw the original cumulative-count build's choice table, and the
+SR-SP lanes must match the per-vertex counting tables exactly.
 """
 
 from __future__ import annotations
@@ -27,19 +27,18 @@ from repro.core.sampling import (
     sample_walks,
 )
 from repro.core.simrank import simrank_from_meeting_probabilities
-from repro.core.speedup import (
-    FilterVectors,
-    meeting_probabilities_from_tables,
-    packed_meeting_probabilities,
-    propagate_counting_tables,
-    propagate_packed_tables,
-)
+from repro.core.speedup import FilterVectors, propagate_lanes
 from repro.graph.csr import CSRGraph, CSRGraphView
 from repro.graph.generators import rmat_uncertain
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.core.bundle_store import WalkBundleStore
 from repro.utils.bitvector import BitVector
 from repro.utils.errors import InvalidParameterError
+from tests.speedup_oracle import (
+    meeting_probabilities_from_tables,
+    oracle_choices,
+    propagate_counting_tables,
+)
 
 #: Monte-Carlo tolerance for two independent estimates at the sample sizes below.
 MC_TOLERANCE = 0.05
@@ -188,17 +187,18 @@ class TestCrossValidation:
         assert first.meeting_probabilities == second.meeting_probabilities
 
     def test_speedup_backends_agree_exactly(self, paper_graph):
-        """Same filter bits: sparse packed propagation == counting tables."""
+        """Same filters: SR-SP lanes == counting tables, and so do the
+        engine's meeting probabilities."""
         filters_u = FilterVectors(paper_graph, 700, rng=3)
         filters_v = FilterVectors(paper_graph, 700, rng=4)
-        packed_u = propagate_packed_tables("v1", 4, filters_u)
-        packed_v = propagate_packed_tables("v2", 4, filters_v)
+        lanes_u = propagate_lanes("v1", 4, filters_u)
+        lanes_v = propagate_lanes("v2", 4, filters_v)
         tables_u = propagate_counting_tables(paper_graph, "v1", 4, filters_u)
         tables_v = propagate_counting_tables(paper_graph, "v2", 4, filters_v)
-        assert unpack_tables(packed_u, filters_u) == tables_u
-        assert unpack_tables(packed_v, filters_v) == tables_v
+        assert lanes_as_tables(lanes_u, filters_u) == tables_u
+        assert lanes_as_tables(lanes_v, filters_v) == tables_v
         oracle = meeting_probabilities_from_tables(tables_u, tables_v, 700, "v1", "v2")
-        assert packed_meeting_probabilities(packed_u, packed_v, 700, "v1", "v2") == oracle
+        assert meeting_probabilities_from_matrices(lanes_u, lanes_v, 4, False) == oracle
         engine = SimRankEngine(paper_graph, iterations=4, num_walks=700, seed=1)
         result = engine.similarity(
             "v1", "v2", method="speedup", exact_prefix=0,
@@ -207,28 +207,25 @@ class TestCrossValidation:
         assert list(result.meeting_probabilities) == oracle
 
 
-def unpack_tables(tables, filters: FilterVectors):
-    """Sparse packed tables as the oracle's per-step ``{vertex: BitVector}``.
+def lanes_as_tables(lanes: np.ndarray, filters: FilterVectors):
+    """SR-SP lanes as the oracle's per-step ``{vertex: BitVector}``.
 
-    Also checks the sparse form's invariants: sorted unique active rows,
-    one row of words per active vertex, and no all-zero row.
+    Also checks the lanes' invariants: the bundle layout and dtype,
+    read-only, column 0 the source, and a dead process stays dead.
     """
     csr, width = filters.csr, filters.num_processes
-    unpacked = []
-    for active, rows in tables.steps:
-        assert active.dtype == np.int64 and rows.dtype == np.uint64
-        assert rows.shape == (active.size, filters.packed.shape[1])
-        assert (np.diff(active) > 0).all()
-        assert rows.any(axis=1).all()
-        unpacked.append(
-            {
-                csr.vertex_at(int(index)): BitVector(
-                    width, int.from_bytes(row.tobytes(), "little")
-                )
-                for index, row in zip(active, rows)
-            }
-        )
-    return unpacked
+    assert lanes.shape[0] == width and lanes.dtype == filters.choices.dtype
+    assert not lanes.flags.writeable
+    assert np.unique(lanes[:, 0]).size == 1
+    dead = lanes == NO_VERTEX
+    assert (dead[:, :-1] <= dead[:, 1:]).all()
+    return [
+        {
+            csr.vertex_at(int(index)): BitVector.from_bool_array(column == index)
+            for index in np.unique(column[column != NO_VERTEX])
+        }
+        for column in lanes.T
+    ]
 
 
 def edge_case_csr() -> CSRGraph:
@@ -249,21 +246,83 @@ def edge_case_csr() -> CSRGraph:
         "d": [("e", 1.0)],
         "e": [("sink", 1.0)],
     }
+    return csr_from_rows(vertices, out)
+
+
+def csr_from_rows(vertices, out) -> CSRGraph:
+    """A snapshot straight from ``{vertex: [(target, p), ...]}`` rows."""
     index = {vertex: position for position, vertex in enumerate(vertices)}
     indptr = np.cumsum([0] + [len(out[vertex]) for vertex in vertices])
     arcs = [arc for vertex in vertices for arc in out[vertex]]
     return CSRGraph(
         indptr,
         np.array([index[target] for target, _ in arcs], dtype=np.int64),
-        np.array([probability for _, probability in arcs]),
+        np.array([probability for _, probability in arcs], dtype=float),
         vertices,
     )
 
 
+def filter_zoo():
+    """(graph, csr) pairs: the edge cases, a 0/1-probability graph with a
+    self-loop, a graph without arcs, and a sparse R-MAT with many sinks."""
+    certain = csr_from_rows(
+        ("x", "y", "z"),
+        {"x": [("x", 1.0), ("y", 0.0), ("z", 1.0)], "y": [("x", 0.0)], "z": [("y", 1.0)]},
+    )
+    arcless = csr_from_rows(("p", "q"), {"p": [], "q": []})
+    graph = rmat_uncertain(60, 150, rng=8)
+    return [
+        (CSRGraphView(csr), csr) for csr in (edge_case_csr(), certain, arcless)
+    ] + [(graph, CSRGraph.from_uncertain(graph))]
+
+
+class TestFilterBuildOracle:
+    """The filter build draws the choice table of the original
+    cumulative-count build from the same RNG stream, for any process count
+    and any split of the processes into build blocks."""
+
+    @pytest.mark.parametrize("num_walks", [1, 63, 64, 65, 700])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_choices_match_oracle(self, num_walks, split, monkeypatch):
+        for graph, csr in filter_zoo():
+            if split:
+                # 64-process blocks: at least two of them past 64 processes.
+                monkeypatch.setattr(
+                    FilterVectors, "_BUILD_CHUNK_CELLS", 64 * max(csr.num_arcs, 1)
+                )
+            for seed in (0, 1):
+                filters = FilterVectors(graph, num_walks, rng=seed, csr=csr)
+                expected = oracle_choices(csr, num_walks, np.random.default_rng(seed))
+                assert np.array_equal(filters.choices, expected), (csr.vertices, seed)
+                chosen = {
+                    (w, int(x)) for w, row in enumerate(expected) for x in row if x >= 0
+                }
+                assert len(filters) == len(chosen)
+
+    def test_choices_follow_the_arcs(self):
+        csr = edge_case_csr()
+        filters = FilterVectors(CSRGraphView(csr), 700, rng=3, csr=csr)
+        choices = filters.choices
+        assert choices.dtype == np.int16 and not choices.flags.writeable
+        for w, vertex in enumerate(csr.vertices):
+            taken = set(np.unique(choices[w]).tolist()) - {NO_VERTEX}
+            arcs = {
+                int(x)
+                for x, p in zip(
+                    csr.indices[csr.indptr[w] : csr.indptr[w + 1]],
+                    csr.probs[csr.indptr[w] : csr.indptr[w + 1]],
+                )
+                if p > 0
+            }
+            assert taken <= arcs, vertex
+        # A certain arc is always instantiated, so d always moves to e.
+        assert (choices[csr.index_of("d")] == csr.index_of("e")).all()
+        assert (choices[csr.index_of("sink")] == NO_VERTEX).all()
+
+
 class TestSparsePropagationOracle:
-    """Frontier-sparse propagation and meeting == the BitVector oracle, bit
-    for bit, on the graphs where a sparse frontier differs most from a
-    dense table."""
+    """SR-SP lanes and their meetings == the BitVector oracle, bit for bit,
+    on the graphs where a sparse frontier differs most from a dense one."""
 
     @staticmethod
     def zoo():
@@ -276,22 +335,23 @@ class TestSparsePropagationOracle:
         for graph, csr in self.zoo():
             filters = FilterVectors(graph, num_walks, rng=num_walks, csr=csr)
             for source in csr.vertices:
-                packed = propagate_packed_tables(source, 5, filters)
+                lanes = propagate_lanes(source, 5, filters)
                 oracle = propagate_counting_tables(graph, source, 5, filters)
-                assert unpack_tables(packed, filters) == oracle, source
+                assert lanes_as_tables(lanes, filters) == oracle, source
 
     def test_edge_cases_shape_the_frontier(self):
         csr = edge_case_csr()
         filters = FilterVectors(CSRGraphView(csr), 700, rng=2, csr=csr)
-        iso = propagate_packed_tables("iso", 3, filters)
-        assert [active.size for active, _ in iso.steps] == [1, 0, 0, 0]
-        dying = propagate_packed_tables("d", 4, filters)
-        assert [active.size for active, _ in dying.steps] == [1, 1, 1, 0, 0]
+
+        def frontier_sizes(lanes):
+            return [np.unique(column[column != NO_VERTEX]).size for column in lanes.T]
+
+        assert frontier_sizes(propagate_lanes("iso", 3, filters)) == [1, 0, 0, 0]
+        assert frontier_sizes(propagate_lanes("d", 4, filters)) == [1, 1, 1, 0, 0]
         # The p = 0 arc s -> d is never taken, so d is unreachable from s.
-        from_s = propagate_packed_tables("s", 4, filters)
-        d = csr.index_of("d")
-        assert all(d not in active for active, _ in from_s.steps)
-        assert propagate_packed_tables("s", 0, filters).nbytes > 0
+        from_s = propagate_lanes("s", 4, filters)
+        assert not (from_s == csr.index_of("d")).any()
+        assert propagate_lanes("s", 0, filters).shape == (700, 1)
 
     @pytest.mark.parametrize("shared_filters", [False, True])
     def test_meetings_match_oracle(self, shared_filters):
@@ -305,12 +365,12 @@ class TestSparsePropagationOracle:
                     propagate_counting_tables(graph, v, 5, filters_v),
                     700, u, v,
                 )
-                packed = packed_meeting_probabilities(
-                    propagate_packed_tables(u, 5, filters_u),
-                    propagate_packed_tables(v, 5, filters_v),
-                    700, u, v,
+                lanes = meeting_probabilities_from_matrices(
+                    propagate_lanes(u, 5, filters_u),
+                    propagate_lanes(v, 5, filters_v),
+                    5, u == v,
                 )
-                assert packed == oracle, (u, v)
+                assert lanes == oracle, (u, v)
 
     @pytest.mark.parametrize("shared_filters", [False, True])
     def test_engine_matches_oracle(self, shared_filters):
@@ -334,15 +394,15 @@ class TestSparsePropagationOracle:
     def test_table_mismatch_rejected(self, paper_graph):
         filters = FilterVectors(paper_graph, 64, rng=1)
         with pytest.raises(InvalidParameterError):
-            packed_meeting_probabilities(
-                propagate_packed_tables("v1", 2, filters),
-                propagate_packed_tables("v2", 3, filters),
-                64, "v1", "v2",
+            meeting_probabilities_from_matrices(
+                propagate_lanes("v1", 2, filters),
+                propagate_lanes("v2", 3, filters),
+                2, False,
             )
         with pytest.raises(InvalidParameterError):
-            propagate_packed_tables("nope", 2, filters)
+            propagate_lanes("nope", 2, filters)
         with pytest.raises(InvalidParameterError):
-            propagate_packed_tables("v1", -1, filters)
+            propagate_lanes("v1", -1, filters)
 
 
 class TestMeetingFromMatrices:

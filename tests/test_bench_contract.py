@@ -49,6 +49,7 @@ class Strict(dict):
 with SimilarityService(example_graph(), num_walks=200, seed=7) as service:
     top = service.top_k_for_vertex("v1", 3)
     service.pair("v1", "v2", method="two_phase")
+    service.pair("v1", "v3", method="speedup")
     stats = service.service_stats()
 counters = bench_worker._counters(Strict(stats))
 print(json.dumps({
@@ -75,3 +76,5 @@ def test_tracer_seams_and_worker_counters_resolve():
     assert "topk_index.bytes" in report["counters"]
     # The wrapped stores are the ones the program calls.
     assert {"topk_index.build", "transition.cache_get"} <= set(report["spans"])
+    # SR-SP builds its lanes through the module name the tracer wraps.
+    assert {"speedup.propagate"} <= set(report["spans"])

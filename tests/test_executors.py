@@ -9,6 +9,8 @@ executor now has, and the snapshot-scoped SR-SP table store.
 
 from __future__ import annotations
 
+import io
+import json
 import sys
 import threading
 from itertools import combinations
@@ -28,19 +30,19 @@ from repro.core.executors import (
     executor_for,
     make_executor,
 )
-from repro.core.speedup import (
-    FilterVectors,
-    meeting_probabilities_from_tables,
-    propagate_counting_tables,
-)
+from repro.core.speedup import FilterVectors
 from repro.graph.csr import CSRGraph, CSRGraphView
+from repro.graph.generators import rmat_uncertain
+from repro.graph.uncertain_graph import UncertainGraph
 from repro.service import (
     MutationLog,
     ShardedWalkSampler,
     SimilarityService,
     WalkBundleStore,
 )
+from repro.service.runner import run
 from repro.utils.errors import InvalidParameterError
+from tests.speedup_oracle import oracle_meetings
 
 
 class TestRegistry:
@@ -264,16 +266,16 @@ class TestEngineCachesDeterminism:
     def test_filter_pairs_are_pure_functions_of_seed_and_snapshot(self, paper_graph):
         one = SimRankEngine(paper_graph, num_walks=64, seed=9)
         two = SimRankEngine(paper_graph.copy(), num_walks=64, seed=9)
-        assert np.array_equal(one.filters.packed, two.filters.packed)
-        assert np.array_equal(one.filters_v.packed, two.filters_v.packed)
-        assert not np.array_equal(one.filters.packed, one.filters_v.packed)
+        assert np.array_equal(one.filters.choices, two.filters.choices)
+        assert np.array_equal(one.filters_v.choices, two.filters_v.choices)
+        assert not np.array_equal(one.filters.choices, one.filters_v.choices)
 
     def test_rebuild_really_redraws(self, paper_graph):
         engine = SimRankEngine(paper_graph, num_walks=64, seed=9)
         before = engine.filters
         rebuilt = engine.rebuild_filters()
         assert rebuilt is not before
-        assert not np.array_equal(rebuilt.packed, before.packed)
+        assert not np.array_equal(rebuilt.choices, before.choices)
 
     def test_snapshot_walk_source_persists_in_bundle_store(self, paper_graph):
         store = WalkBundleStore()
@@ -309,13 +311,7 @@ class TestSpeedupTableStore:
     @staticmethod
     def oracle(graph, pairs, filters_u, filters_v, steps) -> list:
         return [
-            tuple(
-                meeting_probabilities_from_tables(
-                    propagate_counting_tables(graph, u, steps, filters_u),
-                    propagate_counting_tables(graph, v, steps, filters_v),
-                    filters_u.num_processes, u, v,
-                )
-            )
+            tuple(oracle_meetings(graph, u, v, steps, filters_u, filters_v))
             for u, v in pairs
         ]
 
@@ -461,3 +457,98 @@ class TestSpeedupTableStore:
         assert stats["evictions"] > 0
         assert stats["bytes"] == sum(value.nbytes for value in store._entries.values())
         assert stats["bytes"] <= 2048
+
+
+class TestSpeedupLaneIdentity:
+    """SR-SP answers through the engine, the service and the runner equal
+    the bit-vector oracle on the same filters, bit for bit: self-pairs,
+    top-k-shaped batches, one-sided and shared filter overrides."""
+
+    @staticmethod
+    def graph() -> UncertainGraph:
+        return rmat_uncertain(60, 150, rng=8)
+
+    @staticmethod
+    def pairs(graph: UncertainGraph) -> list:
+        vertices = graph.vertices()
+        return (
+            [(vertices[0], vertices[0]), (vertices[7], vertices[7])]
+            + list(zip(vertices[:12], vertices[20:32]))
+            + [(vertices[3], v) for v in vertices[:20]]
+        )
+
+    @pytest.mark.parametrize(
+        "override", [None, "filters", "filters_v", "shared_filters"]
+    )
+    def test_engine_matches_oracle(self, override):
+        graph = self.graph()
+        engine = SimRankEngine(graph, iterations=5, num_walks=700, seed=4)
+        explicit = FilterVectors(graph, 700, rng=9)
+        overrides = {}
+        if override is not None:
+            overrides[override] = True if override == "shared_filters" else explicit
+        filters_u = explicit if override == "filters" else engine.filters
+        filters_v = {
+            None: engine.filters_v,
+            "filters": engine.filters_v,
+            "filters_v": explicit,
+            "shared_filters": engine.filters,
+        }[override]
+        pairs = self.pairs(graph)
+        results = engine.similarity_many(
+            pairs, method="speedup", exact_prefix=0, **overrides
+        )
+        for (u, v), result in zip(pairs, results):
+            assert list(result.meeting_probabilities) == oracle_meetings(
+                graph, u, v, 5, filters_u, filters_v
+            ), (u, v)
+
+    def test_service_and_runner_match_oracle(self):
+        graph = self.graph()
+        edges = [
+            [u, v, probability]
+            for u in graph.vertices()
+            for v, probability in graph.out_arcs(u).items()
+        ]
+        pairs = self.pairs(graph)[::3]
+        engine = SimRankEngine(graph, num_walks=700, seed=4)
+        expected = engine.similarity_many(pairs, method="speedup")
+        tail = engine.exact_prefix + 1
+        for (u, v), result in zip(pairs, expected):
+            oracle = oracle_meetings(
+                graph, u, v, engine.iterations, engine.filters, engine.filters_v
+            )
+            assert list(result.meeting_probabilities[tail:]) == oracle[tail:]
+        with SimilarityService(graph, num_walks=700, seed=4) as service:
+            served = [service.pair(u, v, method="speedup") for u, v in pairs]
+        assert [r.meeting_probabilities for r in served] == [
+            r.meeting_probabilities for r in expected
+        ]
+        lines = [
+            json.dumps(
+                {
+                    "op": "create_graph",
+                    "graph": "g",
+                    "vertices": graph.vertices(),
+                    "edges": edges,
+                    "params": {"num_walks": 700, "seed": 4},
+                }
+            )
+        ] + [
+            json.dumps(
+                {"op": "pair", "graph": "g", "u": u, "v": v, "method": "speedup"}
+            )
+            for u, v in pairs
+        ]
+        stdout = io.StringIO()
+        code = run(
+            ["--graph", "example"],
+            stdin=io.StringIO("\n".join(lines) + "\n"),
+            stdout=stdout,
+            stderr=io.StringIO(),
+        )
+        assert code == 0
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [response["score"] for response in responses[1:]] == [
+            result.score for result in expected
+        ]

@@ -101,6 +101,13 @@ class TestSingleSource:
         with pytest.raises(WalkExplosionError):
             single_source_transition_probabilities(graph, 0, 6, max_states=50)
 
+    def test_state_budget_checked_inside_the_level(self):
+        """The raise comes at the first state past the budget, not after
+        the whole level has been built."""
+        graph = small_random_uncertain_graph(12, 0.8, seed=3)
+        with pytest.raises(WalkExplosionError, match=r"produced 51 states \(budget 50\)"):
+            single_source_transition_probabilities(graph, 0, 6, max_states=50)
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
     def test_matches_oracle_on_random_graphs(self, seed):
